@@ -16,7 +16,12 @@ invariants:
   never raw ``time.time()`` reads;
 * **R005** dB/linear unit hygiene on names and conversions;
 * **R006** no mutable default arguments, no bare or overbroad excepts
-  in library code.
+  in library code;
+* **R007** no print()/stream writes in library code;
+* **R008** every batch kernel has a scalar twin and a test (project);
+* **R009** explicit dtypes in the receive-chain kernel packages;
+* **R011** counters and the OBSERVABILITY.md catalogue agree (project);
+* **R012** engine wiring lives in the sweep runner.
 
 Run it as ``repro-lint src tests`` (console script), ``python -m
 repro.analysis``, or ``repro-experiments lint``.  Diagnostics can be

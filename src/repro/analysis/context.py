@@ -32,6 +32,28 @@ def qualified_name(node: ast.AST, imports: Dict[str, str]) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
+def module_name_for_path(path: str) -> str:
+    """Dotted module name for a source path (best effort).
+
+    ``src/repro/zigbee/receiver.py`` -> ``repro.zigbee.receiver``;
+    ``tests/test_foo.py`` -> ``tests.test_foo``; paths without a
+    recognizable package root fall back to their stem.
+    """
+    posix = path.replace("\\", "/")
+    parts = [part for part in posix.split("/") if part not in ("", ".")]
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    for anchor in ("src", "repro", "tests"):
+        if anchor in parts:
+            index = parts.index(anchor)
+            if anchor == "src":
+                index += 1
+            return ".".join(parts[index:]) or (parts[-1] if parts else "")
+    return parts[-1] if parts else ""
+
+
 def _collect_imports(tree: ast.AST) -> Dict[str, str]:
     """Map every imported local name to its fully qualified origin."""
     imports: Dict[str, str] = {}
@@ -54,6 +76,7 @@ class ModuleContext:
 
     Attributes:
         path: display path used in diagnostics (posix-style).
+        module_name: dotted module name (see :func:`module_name_for_path`).
         source: full module source text.
         tree: the parsed ``ast.Module``.
         imports: local name -> qualified origin (see :func:`qualified_name`).
@@ -83,6 +106,7 @@ class ModuleContext:
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path.replace("\\", "/")
+        self.module_name = module_name_for_path(self.path)
         self.source = source
         self.tree = tree
         self.imports = _collect_imports(tree)

@@ -45,17 +45,6 @@ class Diagnostic:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Diagnostic":
-        """Rebuild a diagnostic from :meth:`to_dict` output (cache path)."""
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[call-overload]
-            column=int(payload["column"]),  # type: ignore[call-overload]
-            code=str(payload["code"]),
-            message=str(payload["message"]),
-        )
-
 
 class SuppressionIndex:
     """Which rule codes are silenced on which lines of one file.
@@ -111,28 +100,3 @@ class SuppressionIndex:
             if "*" in codes or diagnostic.code in codes:
                 return True
         return False
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable view, so the index can travel with cached
-        module summaries and silence cross-module diagnostics anchored
-        in this file without re-reading it."""
-        return {
-            "lines": {
-                str(line): sorted(codes)
-                for line, codes in self._by_line.items()
-            },
-            "file": sorted(self._file_wide),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "SuppressionIndex":
-        """Rebuild an index from :meth:`to_dict` output."""
-        index = cls()
-        lines = payload.get("lines", {})
-        if isinstance(lines, dict):
-            for line, codes in lines.items():
-                index._by_line[int(line)] = set(codes)
-        file_wide = payload.get("file", [])
-        if isinstance(file_wide, (list, set, tuple)):
-            index._file_wide.update(file_wide)
-        return index

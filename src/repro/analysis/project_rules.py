@@ -1,12 +1,10 @@
-"""Cross-module rules R008-R011 over the whole-program ProjectIndex.
+"""Cross-module rules R008 and R011 over the whole-program ProjectIndex.
 
 The per-file rules in :mod:`repro.analysis.rules` uphold invariants a
-single module can prove about itself.  The conventions introduced by
-the batched engine and the telemetry plane span files: a ``*_batch``
-kernel pairs with a scalar twin and a differential test elsewhere, an
-``emit(...)`` site must agree with the schema declared in
-``repro.telemetry.events``, and every counter incremented anywhere must
-appear in the OBSERVABILITY.md catalogue.  Rules here declare
+single module can prove about itself.  Two conventions span files: a
+``*_batch`` kernel pairs with a scalar twin and a differential test
+elsewhere, and every counter incremented anywhere must appear in the
+OBSERVABILITY.md catalogue.  Rules here declare
 ``scope = "project"`` and implement ``check_project(index)`` instead of
 the per-module ``check(module)``; the runner executes them once over
 the assembled :class:`~repro.analysis.project.ProjectIndex` and filters
@@ -17,7 +15,7 @@ triggered it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Set
+from typing import Iterator, List, Set
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.diagnostics import Diagnostic
@@ -75,17 +73,10 @@ class BatchScalarParity(ProjectRule):
         "has an unverifiable bit-identity claim"
     )
 
-    def _names_defined(self, summary: ModuleSummary) -> Set[str]:
-        names: Set[str] = set()
-        for defined in summary.defined_names.values():
-            names.update(defined)
-        return names
-
     def check_project(self, index: ProjectIndex) -> Iterator[Diagnostic]:
         have_tests = bool(index.test_summaries)
         test_refs = index.test_references
         for summary in index.library_summaries:
-            local_names = self._names_defined(summary)
             for batch, counterpart in iter_batch_pairs(summary):
                 line, col = batch["line"], batch["col"]
                 name = batch["name"]
@@ -101,13 +92,7 @@ class BatchScalarParity(ProjectRule):
                         f"scalar counterpart; {hint}",
                     )
                     continue
-                if counterpart not in local_names and not (
-                    index.summaries and counterpart in {
-                        qual.rsplit(".", 1)[-1]
-                        for other in index.summaries
-                        for qual in other.functions
-                    }
-                ):
+                if counterpart not in index.function_names:
                     yield _diag(
                         summary, line, col, self.code,
                         f"batch function '{name}' declares scalar "
@@ -129,143 +114,6 @@ class BatchScalarParity(ProjectRule):
                         f"not exercised by any test under tests/ "
                         f"(unreferenced: {', '.join(missing)}); add a "
                         f"differential test pinning bit-identity",
-                    )
-
-
-@rule
-class DtypePromotionHygiene(ProjectRule):
-    """R009: dtype discipline on paths reachable from engine trials.
-
-    Implicit float64 defaults and silent complex promotion are the
-    classic way batched kernels drift from their scalar twins by one
-    ULP.  The per-file summarizer records every suspicious site
-    (dtype-less ``np.zeros``/``np.asarray`` feeding receive-chain
-    kernels, complex stores into real buffers, complex64/complex128
-    mixing); this rule promotes a site to a violation only when the
-    call graph proves the enclosing function reachable from an engine
-    trial root, where bit-identity is contractual.
-    """
-
-    code = "R009"
-    name = "dtype-promotion-hygiene"
-    rationale = (
-        "implicit dtype promotion on trial-reachable paths silently "
-        "breaks the batched/scalar bit-identity contract"
-    )
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Diagnostic]:
-        for summary in index.library_summaries:
-            for candidate in summary.dtype_candidates:
-                qualname = candidate["qualname"]
-                if not index.is_trial_reachable(summary.module_name, qualname):
-                    continue
-                yield _diag(
-                    summary, candidate["line"], candidate["col"], self.code,
-                    f"[trial-reachable via {qualname}] {candidate['message']}",
-                )
-
-
-@rule
-class EventSchemaDiscipline(ProjectRule):
-    """R010: every emit site agrees with the central event schema.
-
-    ``repro.telemetry.events`` declares ``EVENT_SCHEMAS`` — the one
-    catalogue of event types and their field sets.  Raw
-    ``stream.emit("type", ...)`` calls must name a declared type, pass
-    every required field, and (for closed schemas) pass no undeclared
-    ones; calls through the typed emitter methods are checked against
-    the emitter's signature plus the schema behind its ``**fields``
-    pass-through.  Consumers (``runs tail``, the regression differ)
-    parse these events back — an off-schema field set is a silent
-    contract break that only surfaces downstream.
-    """
-
-    code = "R010"
-    name = "event-schema-discipline"
-    rationale = (
-        "event consumers parse the JSONL stream by schema; undeclared "
-        "types or fields break them silently"
-    )
-
-    def _check_raw_emit(
-        self,
-        summary: ModuleSummary,
-        emit: Dict[str, Any],
-        schemas: Dict[str, Any],
-    ) -> Iterator[Diagnostic]:
-        event_type = emit["type"]
-        if event_type is None:
-            return
-        line, col = emit["line"], emit["col"]
-        spec = schemas.get(event_type)
-        if spec is None:
-            declared = ", ".join(sorted(schemas))
-            yield _diag(
-                summary, line, col, self.code,
-                f"emit() of undeclared event type '{event_type}' "
-                f"(declared: {declared})",
-            )
-            return
-        required = set(spec.get("required", ()))
-        optional = set(spec.get("optional", ()))
-        keywords = set(emit["keywords"])
-        if not spec.get("open", False):
-            for unknown in sorted(keywords - required - optional):
-                yield _diag(
-                    summary, line, col, self.code,
-                    f"emit('{event_type}') passes undeclared field "
-                    f"'{unknown}' (schema allows: "
-                    f"{', '.join(sorted(required | optional)) or 'none'})",
-                )
-        if not emit["has_star"]:
-            for missing in sorted(required - keywords):
-                yield _diag(
-                    summary, line, col, self.code,
-                    f"emit('{event_type}') is missing required field "
-                    f"'{missing}'",
-                )
-
-    def _check_typed_emit(
-        self,
-        summary: ModuleSummary,
-        emit: Dict[str, Any],
-        emitter: Dict[str, Any],
-        schemas: Dict[str, Any],
-    ) -> Iterator[Diagnostic]:
-        event_type = emitter["event"]
-        spec = schemas.get(event_type, {})
-        params = set(emitter["params"])
-        fields = set(spec.get("required", ())) | set(spec.get("optional", ()))
-        open_schema = bool(spec.get("open", False))
-        for keyword in emit["keywords"]:
-            if keyword in params:
-                continue
-            if emitter["has_kwargs"] and (open_schema or keyword in fields):
-                continue
-            allowed = sorted(params | (fields if emitter["has_kwargs"] else set()))
-            yield _diag(
-                summary, emit["line"], emit["col"], self.code,
-                f"{emit['method']}() passes field '{keyword}' which is "
-                f"neither an emitter parameter nor a declared "
-                f"'{event_type}' schema field (allowed: "
-                f"{', '.join(allowed) or 'none'})",
-            )
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Diagnostic]:
-        schema_summary = index.event_schema_summary()
-        if schema_summary is None or schema_summary.event_schema is None:
-            return
-        schemas = schema_summary.event_schema
-        emitters = schema_summary.event_emitters
-        for summary in index.summaries:
-            if summary.module_name == index.EVENTS_MODULE:
-                continue
-            for emit in summary.emits:
-                if emit["method"] == "emit":
-                    yield from self._check_raw_emit(summary, emit, schemas)
-                elif emit["method"] in emitters:
-                    yield from self._check_typed_emit(
-                        summary, emit, emitters[emit["method"]], schemas
                     )
 
 
@@ -348,8 +196,6 @@ def run_project_rules(
 __all__ = [
     "BatchScalarParity",
     "CounterCatalogue",
-    "DtypePromotionHygiene",
-    "EventSchemaDiscipline",
     "ProjectRule",
     "module_rules",
     "project_rules",

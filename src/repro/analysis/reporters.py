@@ -3,50 +3,32 @@
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
 
 #: Schema version of the JSON report; bump on breaking layout changes.
-#: 2: summary gained cache_hits/cache_misses/baselined stats.
-JSON_REPORT_VERSION = 2
+JSON_REPORT_VERSION = 3
 
 
 def summarize(
-    diagnostics: Sequence[Diagnostic],
-    files_checked: int,
-    result: Optional[Any] = None,
+    diagnostics: Sequence[Diagnostic], files_checked: int
 ) -> Dict[str, Any]:
-    """Aggregate counts shared by both reporters.
-
-    ``result`` is an optional :class:`~repro.analysis.runner.LintResult`
-    carrying run stats (cache hit/miss counts, baselined violations).
-    """
+    """Aggregate counts shared by both reporters."""
     by_code: Dict[str, int] = {}
     for diagnostic in diagnostics:
         by_code[diagnostic.code] = by_code.get(diagnostic.code, 0) + 1
-    summary: Dict[str, Any] = {
+    return {
         "files_checked": files_checked,
         "violations": len(diagnostics),
         "by_code": dict(sorted(by_code.items())),
-        "cache_hits": getattr(result, "cache_hits", 0),
-        "cache_misses": getattr(result, "cache_misses", 0),
-        "baselined": getattr(result, "baselined", 0),
     }
-    return summary
 
 
-def render_text(
-    diagnostics: Sequence[Diagnostic],
-    files_checked: int,
-    result: Optional[Any] = None,
-) -> str:
+def render_text(diagnostics: Sequence[Diagnostic], files_checked: int) -> str:
     """Human-readable report: one line per finding plus a summary."""
     lines: List[str] = [d.format() for d in diagnostics]
-    summary = summarize(diagnostics, files_checked, result)
-    suffix = ""
-    if summary["baselined"]:
-        suffix = f", {summary['baselined']} baselined violation(s) hidden"
+    summary = summarize(diagnostics, files_checked)
     if diagnostics:
         per_rule = ", ".join(
             f"{code}: {count}" for code, count in summary["by_code"].items()
@@ -54,25 +36,19 @@ def render_text(
         lines.append("")
         lines.append(
             f"{summary['violations']} violation(s) in "
-            f"{summary['files_checked']} file(s) ({per_rule}){suffix}"
+            f"{summary['files_checked']} file(s) ({per_rule})"
         )
     else:
-        lines.append(
-            f"OK: {files_checked} file(s), no violations{suffix}"
-        )
+        lines.append(f"OK: {files_checked} file(s), no violations")
     return "\n".join(lines)
 
 
-def render_json(
-    diagnostics: Sequence[Diagnostic],
-    files_checked: int,
-    result: Optional[Any] = None,
-) -> str:
+def render_json(diagnostics: Sequence[Diagnostic], files_checked: int) -> str:
     """Machine-readable report (stable schema, see JSON_REPORT_VERSION)."""
     payload = {
         "version": JSON_REPORT_VERSION,
         "tool": "reprolint",
         "diagnostics": [d.to_dict() for d in diagnostics],
-        "summary": summarize(diagnostics, files_checked, result),
+        "summary": summarize(diagnostics, files_checked),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -1,4 +1,4 @@
-"""The domain rules: determinism, picklability, and telemetry discipline.
+"""The per-module rules: determinism, picklability, telemetry, dtypes.
 
 Each rule is an AST pass over one :class:`ModuleContext`.  They encode
 the contracts the reproduction's correctness rests on — see
@@ -8,7 +8,7 @@ the contracts the reproduction's correctness rests on — see
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.diagnostics import Diagnostic
@@ -72,6 +72,21 @@ RNG_PARAMETER_NAMES = {"rng", "rngs", "seed", "seeds"}
 
 #: Helpers from :mod:`repro.utils.rng` that thread caller streams.
 RNG_THREADING_HELPERS = {"ensure_rng", "spawn_rngs", "spawn_seeds"}
+
+#: numpy array constructors whose default dtype is float64.
+FLOAT_DEFAULT_ALLOCATORS = ("zeros", "empty", "ones", "full")
+
+#: numpy converters that inherit their input's dtype when none is given.
+DTYPE_INHERITING_CONVERTERS = ("asarray", "array", "ascontiguousarray")
+
+#: Package prefixes of the receive-chain kernels R009 holds to explicit
+#: dtypes (a module matches when its dotted name plus ``.`` does).
+KERNEL_PACKAGE_PREFIXES = (
+    "repro.zigbee.",
+    "repro.wifi.",
+    "repro.defense.",
+    "repro.utils.signal_ops.",
+)
 
 
 def _diag(module: ModuleContext, node: ast.AST, code: str, message: str) -> Diagnostic:
@@ -666,3 +681,202 @@ class NoDirectOutput:
                     f"direct stream write '{resolved}()' in library code; "
                     f"route output through an event sink or a renderer",
                 )
+
+
+class _DtypeChecker:
+    """Per-function dtype/promotion hygiene pass behind R009."""
+
+    COMPLEX_DTYPES = {"complex", "complex128", "cdouble", "complex_"}
+    COMPLEX64_DTYPES = {"complex64", "csingle", "singlecomplex"}
+    FLOAT_DTYPES = {"float", "float64", "float32", "double"}
+
+    def __init__(self, module: ModuleContext, out: List[Diagnostic]) -> None:
+        self.module = module
+        self.out = out
+        self.dtypes: Dict[str, str] = {}
+
+    # -- dtype inference ----------------------------------------------
+
+    def _dtype_tag(self, node: Optional[ast.AST]) -> Optional[str]:
+        """Classify a ``dtype=`` argument expression."""
+        if node is None:
+            return None
+        name = None
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            resolved = self.module.basename(node)
+            name = resolved.lower() if resolved else None
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value.lower()
+        if name is None:
+            return "unknown"
+        if name in self.COMPLEX64_DTYPES:
+            return "complex64"
+        if name in self.COMPLEX_DTYPES:
+            return "complex128"
+        if name in self.FLOAT_DTYPES:
+            return "float"
+        return "unknown"
+
+    def _infer(self, node: ast.AST) -> Optional[str]:
+        """Best-effort dtype of an expression within this function."""
+        if isinstance(node, ast.Name):
+            return self.dtypes.get(node.id)
+        if isinstance(node, ast.Attribute) and node.attr in ("real", "imag"):
+            return "float"
+        if isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            return "complex128"
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "astype":
+                for arg in node.args[:1]:
+                    return self._dtype_tag(arg)
+                for keyword in node.keywords:
+                    if keyword.arg == "dtype":
+                        return self._dtype_tag(keyword.value)
+            basename = self.module.basename(func)
+            if basename in FLOAT_DEFAULT_ALLOCATORS + DTYPE_INHERITING_CONVERTERS:
+                for keyword in node.keywords:
+                    if keyword.arg == "dtype":
+                        return self._dtype_tag(keyword.value)
+                if basename in FLOAT_DEFAULT_ALLOCATORS:
+                    return "float_default"
+                return None
+        if isinstance(node, ast.BinOp):
+            left = self._infer(node.left)
+            right = self._infer(node.right)
+            for tag in ("complex128", "complex64"):
+                if left == tag or right == tag:
+                    return tag
+            return left or right
+        return None
+
+    def _is_complexish(self, node: ast.AST) -> bool:
+        """Does the expression clearly produce complex values?"""
+        inferred = self._infer(node)
+        if inferred in ("complex128", "complex64"):
+            return True
+        if inferred is not None and inferred != "unknown":
+            # A trusted real-valued inference (e.g. ``z.real``) wins
+            # over the conservative name walk below.
+            return False
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Constant) and isinstance(inner.value, complex):
+                return True
+            if isinstance(inner, ast.Name) and (
+                self.dtypes.get(inner.id) in ("complex128", "complex64")
+            ):
+                return True
+        return False
+
+    # -- the checks ----------------------------------------------------
+
+    def _emit(self, node: ast.AST, message: str) -> None:
+        self.out.append(_diag(self.module, node, "R009", message))
+
+    def _numpy_call_basename(self, node: ast.Call) -> Optional[str]:
+        resolved = self.module.resolve(node.func)
+        if resolved is not None and resolved.startswith("numpy."):
+            return resolved.rsplit(".", 1)[-1]
+        return None
+
+    @staticmethod
+    def _has_dtype_keyword(node: ast.Call) -> bool:
+        return any(keyword.arg == "dtype" for keyword in node.keywords)
+
+    def _check_allocation(self, node: ast.Call) -> None:
+        basename = self._numpy_call_basename(node)
+        if basename in FLOAT_DEFAULT_ALLOCATORS and not self._has_dtype_keyword(node):
+            self._emit(
+                node,
+                f"dtype-less np.{basename}() defaults to float64; pass an "
+                f"explicit dtype so complex/real intent survives the "
+                f"batched kernels",
+            )
+
+    def _check_converter_feeding_kernel(self, call: ast.Call) -> None:
+        """Flag dtype-less asarray/array passed straight into a kernel."""
+        callee = self.module.resolve(call.func)
+        if callee is None or not callee.startswith(KERNEL_PACKAGE_PREFIXES):
+            return
+        for arg in call.args:
+            if not isinstance(arg, ast.Call):
+                continue
+            basename = self._numpy_call_basename(arg)
+            if (
+                basename in DTYPE_INHERITING_CONVERTERS
+                and not self._has_dtype_keyword(arg)
+            ):
+                self._emit(
+                    arg,
+                    f"dtype-less np.{basename}() flows into receive-chain "
+                    f"kernel '{callee.rsplit('.', 1)[-1]}'; pass dtype= "
+                    f"explicitly",
+                )
+
+    def _check_store(self, node: Union[ast.Assign, ast.AugAssign]) -> None:
+        """Complex value stored into a float-dtyped (or default) buffer."""
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if not isinstance(target, ast.Subscript):
+                continue
+            if not isinstance(target.value, ast.Name):
+                continue
+            tag = self.dtypes.get(target.value.id)
+            if tag in ("float", "float_default") and self._is_complexish(node.value):
+                self._emit(
+                    node,
+                    f"complex value stored into real-dtyped buffer "
+                    f"'{target.value.id}'; the imaginary part is silently "
+                    f"discarded — allocate the buffer as complex",
+                )
+
+    def _check_mixing(self, node: ast.BinOp) -> None:
+        tags = {self._infer(node.left), self._infer(node.right)}
+        if "complex64" in tags and "complex128" in tags:
+            self._emit(
+                node,
+                "complex64/complex128 mixing promotes silently to "
+                "complex128; unify the dtypes in this receive-chain kernel",
+            )
+
+    def run(self, function: ast.AST) -> None:
+        """Infer local dtypes, then check every node of one function."""
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and (
+                isinstance(node.targets[0], ast.Name)
+            ):
+                inferred = self._infer(node.value)
+                if inferred is not None:
+                    self.dtypes[node.targets[0].id] = inferred
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                self._check_allocation(node)
+                self._check_converter_feeding_kernel(node)
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                self._check_store(node)
+            elif isinstance(node, ast.BinOp):
+                self._check_mixing(node)
+
+
+@rule
+class DtypePromotionHygiene:
+    """R009 — receive-chain kernels state their dtypes explicitly."""
+
+    code = "R009"
+    name = "dtype-promotion-hygiene"
+    rationale = (
+        "Implicit float64 defaults and silent complex promotion in the "
+        "receive-chain kernels are where batched and scalar paths drift "
+        "apart by one ulp, breaking their bit-identity contract."
+    )
+
+    def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
+        if not module.is_library or not (module.module_name + ".").startswith(
+            KERNEL_PACKAGE_PREFIXES
+        ):
+            return
+        found: List[Diagnostic] = []
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                _DtypeChecker(module, found).run(node)
+        yield from found

@@ -22,8 +22,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.baseline import DEFAULT_BASELINE_PATH as LINT_BASELINE_PATH
-from repro.analysis.cache import DEFAULT_CACHE_DIR as LINT_CACHE_DIR
+from repro.analysis.cli import build_parser as build_lint_parser
 from repro.experiments.registry import experiment_ids, get_experiment
 from repro.telemetry import get_telemetry, stopwatch
 
@@ -149,35 +148,13 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default=None,
                        help="baseline path (default: BENCH_engine.json)")
 
-    lint = subparsers.add_parser(
+    subparsers.add_parser(
         "lint",
-        help="run reprolint, the AST invariant checker (rules R001-R012)",
+        parents=[build_lint_parser()],
+        add_help=False,
+        help="run reprolint, the AST invariant checker (rules R001-R009, "
+             "R011, R012)",
     )
-    lint.add_argument("paths", nargs="*", default=["src", "tests"],
-                      help="files or directories to lint (default: src tests)")
-    lint.add_argument("--format", choices=("text", "json"), default="text",
-                      help="report format (default: text)")
-    lint.add_argument("--select", metavar="CODES", default=None,
-                      help="comma-separated rule codes to run")
-    lint.add_argument("--ignore", metavar="CODES", default=None,
-                      help="comma-separated rule codes to skip")
-    lint.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help="process-pool width for the per-file phase "
-                           "(default: auto)")
-    lint.add_argument("--cache-dir", default=LINT_CACHE_DIR, metavar="DIR",
-                      help="incremental analysis cache location "
-                           f"(default: {LINT_CACHE_DIR})")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the incremental analysis cache")
-    lint.add_argument("--baseline", nargs="?", const=LINT_BASELINE_PATH,
-                      default=None, metavar="FILE",
-                      help="ratchet mode: hide violations recorded in FILE "
-                           "and fail only on new ones")
-    lint.add_argument("--write-baseline", nargs="?", const=LINT_BASELINE_PATH,
-                      default=None, metavar="FILE",
-                      help="adopt the current violations into FILE and exit 0")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalogue and exit")
 
     report = subparsers.add_parser(
         "report",

@@ -75,7 +75,7 @@ class LogisticDetector:
         standardized = (x - self.mean) / self.scale
 
         n, d = standardized.shape
-        weights = np.zeros(d)
+        weights = np.zeros(d, dtype=np.float64)
         bias = 0.0
         for _ in range(self.iterations):
             probabilities = self._sigmoid(standardized @ weights + bias)

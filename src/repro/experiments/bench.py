@@ -101,8 +101,6 @@ def measure_engine_throughput(
     ``workers=None`` resolves to :func:`default_bench_workers` so the
     recorded speedup reflects real parallelism on this host.
     """
-    import inspect
-
     entry = get_experiment(experiment_id)
     if workers is None:
         workers = default_bench_workers()
@@ -116,10 +114,8 @@ def measure_engine_throughput(
             f"min(4, host CPUs)",
             RuntimeWarning,
         )
-    run_parameters = inspect.signature(entry.run).parameters
-    supports_batch = "batch" in run_parameters
-    batched = batch and supports_batch
-    supports_adaptive = adaptive and "adaptive" in run_parameters
+    batched = batch and "batch" in entry.capabilities
+    supports_adaptive = adaptive and "adaptive" in entry.capabilities
     common = {"rng": seed, "trials": trials}
     # Record engine counters across every leg so the baseline carries
     # the same failure-class telemetry the run registry gates on.

@@ -42,13 +42,12 @@ PathLike = Union[str, Path]
 EVENT_SCHEMA_VERSION = 1
 
 #: The one declared schema for every event the stream may emit — the
-#: contract shared by emitters, the JSONL consumers (``runs tail``,
-#: the regression differ), and the R010 static rule.  Each entry lists
-#: the ``required`` fields every record of that type carries, the
-#: ``optional`` fields it may carry, and whether the type is ``open``
-#: (free-form extra fields allowed — only the run lifecycle events,
-#: whose payload is driver configuration).  This must stay a pure
-#: literal: the static analyzer reads it with ``ast.literal_eval``.
+#: contract shared by emitters and the JSONL consumers (``runs tail``,
+#: the regression differ), enforced at runtime by ``EventStream.emit``.
+#: Each entry lists the ``required`` fields every record of that type
+#: carries, the ``optional`` fields it may carry, and whether the type
+#: is ``open`` (free-form extra fields allowed — only the run lifecycle
+#: events, whose payload is driver configuration).
 EVENT_SCHEMAS = {
     "run_started": {
         "required": (),

@@ -84,7 +84,26 @@ class TestEventStream:
         stream = EventStream()
         stream.enable()
         with pytest.raises(ConfigurationError):
-            stream.emit("made_up_event")  # reprolint: disable=R010
+            stream.emit("made_up_event")
+
+    def test_missing_required_field_rejected(self):
+        stream = EventStream()
+        sink = stream.add_sink(MemoryEventSink())
+        stream.enable()
+        with pytest.raises(ConfigurationError, match="trial_index"):
+            stream.emit("trial_retry", attempts=2, recovered=True)
+        assert sink.records == []
+
+    def test_undeclared_field_on_closed_schema_rejected(self):
+        stream = EventStream()
+        sink = stream.add_sink(MemoryEventSink())
+        stream.enable()
+        with pytest.raises(ConfigurationError, match="mood"):
+            stream.emit(
+                "trial_retry", trial_index=3, attempts=2, recovered=True,
+                mood="grim",
+            )
+        assert sink.records == []
 
     def test_records_carry_sequence_and_run_id(self):
         stream = EventStream()

@@ -531,15 +531,12 @@ class TestReporters:
     def test_json_report_schema(self):
         diagnostics = self._sample()
         payload = json.loads(render_json(diagnostics, files_checked=1))
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["tool"] == "reprolint"
         assert payload["summary"] == {
             "files_checked": 1,
             "violations": 1,
             "by_code": {"R001": 1},
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "baselined": 0,
         }
         (item,) = payload["diagnostics"]
         assert set(item) == {"path", "line", "column", "code", "message"}

@@ -1,20 +1,18 @@
-"""Tests for reprolint's whole-program layer (rules R008-R011).
+"""Tests for reprolint's project layer (R008, R011) and the R009 scope.
 
 Every fixture is a miniature on-disk project: a ``pyproject.toml`` root
 marker plus modules under ``src/repro/`` so role classification sees
 library code.  Each rule gets one failing and one passing project, and
-the surrounding machinery — the incremental cache, the baseline
-ratchet, cross-module suppression, the JSON report — is exercised
-through the same public entry points CI uses.
+cross-module suppression and the JSON report are exercised through the
+same public entry points CI uses.
 """
 
 import json
 
 import pytest
 
-from repro.analysis.baseline import load_baseline, write_baseline
 from repro.analysis.cli import build_parser, execute
-from repro.analysis.runner import run_lint_detailed
+from repro.analysis.runner import run_lint
 
 PYPROJECT = "[project]\nname = 'lintdemo'\n"
 
@@ -51,12 +49,12 @@ def _write_project(root, files):
 
 
 def _lint(root, **kwargs):
-    kwargs.setdefault("cache_dir", None)
-    return run_lint_detailed([str(root / "src"), str(root / "tests")], **kwargs)
+    diagnostics, _ = run_lint([str(root / "src"), str(root / "tests")], **kwargs)
+    return diagnostics
 
 
-def _codes(result):
-    return sorted({diag.code for diag in result.diagnostics})
+def _codes(diagnostics):
+    return sorted({diag.code for diag in diagnostics})
 
 
 class TestBatchScalarParity:
@@ -70,18 +68,18 @@ class TestBatchScalarParity:
                 "def test_batch():\n    assert demodulate_batch([]) == []\n"
             ),
         })
-        result = _lint(tmp_path, select=["R008"])
-        assert _codes(result) == ["R008"]
-        assert "scalar counterpart" in result.diagnostics[0].message
+        diagnostics = _lint(tmp_path, select=["R008"])
+        assert _codes(diagnostics) == ["R008"]
+        assert "scalar counterpart" in diagnostics[0].message
 
     def test_batch_pair_without_test_reference_fails(self, tmp_path):
         _write_project(tmp_path, {
             "src/repro/kernels.py": CLEAN_KERNELS,
             "tests/test_other.py": "def test_unrelated():\n    assert True\n",
         })
-        result = _lint(tmp_path, select=["R008"])
-        assert _codes(result) == ["R008"]
-        assert "test" in result.diagnostics[0].message
+        diagnostics = _lint(tmp_path, select=["R008"])
+        assert _codes(diagnostics) == ["R008"]
+        assert "test" in diagnostics[0].message
 
     def test_explicit_counterpart_attribute_resolves(self, tmp_path):
         _write_project(tmp_path, {
@@ -96,20 +94,20 @@ class TestBatchScalarParity:
                 "    assert fast_path_batch([1]) == [1] and decode(1) == 1\n"
             ),
         })
-        result = _lint(tmp_path, select=["R008"])
-        assert result.diagnostics == []
+        diagnostics = _lint(tmp_path, select=["R008"])
+        assert diagnostics == []
 
     def test_tested_pair_passes(self, tmp_path):
         _write_project(tmp_path, {
             "src/repro/kernels.py": CLEAN_KERNELS,
             "tests/test_kernels.py": CLEAN_KERNEL_TEST,
         })
-        result = _lint(tmp_path, select=["R008"])
-        assert result.diagnostics == []
+        diagnostics = _lint(tmp_path, select=["R008"])
+        assert diagnostics == []
 
 
 class TestDtypePromotionHygiene:
-    """R009: no implicit float64 defaults on trial-reachable paths."""
+    """R009: no implicit float64 defaults in the receive-chain packages."""
 
     FIXTURE = """\
 import numpy as np
@@ -126,92 +124,56 @@ def draw_trial(context, args, rng):
     return _make_buffer(4)
 """
 
+    FIXTURE_TEST = (
+        "from repro.zigbee.kernels import _make_buffer, draw_trial\n\n\n"
+        "def test_trial():\n"
+        "    assert draw_trial is not None and _make_buffer is not None\n"
+    )
+
     def test_dtypeless_allocation_on_trial_path_fails(self, tmp_path):
         _write_project(tmp_path, {
-            "src/repro/trials.py": self.FIXTURE.format(dtype=""),
-            "tests/test_trials.py": (
-                "from repro.trials import _make_buffer, draw_trial\n\n\n"
-                "def test_trial():\n"
-                "    assert draw_trial is not None and _make_buffer is not None\n"
-            ),
+            "src/repro/zigbee/kernels.py": self.FIXTURE.format(dtype=""),
+            "tests/test_kernels.py": self.FIXTURE_TEST,
         })
-        result = _lint(tmp_path, select=["R009"])
-        assert _codes(result) == ["R009"]
-        assert "trial-reachable" in result.diagnostics[0].message
+        diagnostics = _lint(tmp_path, select=["R009"])
+        assert _codes(diagnostics) == ["R009"]
+        assert "np.zeros()" in diagnostics[0].message
 
     def test_explicit_dtype_passes(self, tmp_path):
         _write_project(tmp_path, {
-            "src/repro/trials.py": self.FIXTURE.format(dtype=", dtype=np.float64"),
-            "tests/test_trials.py": (
-                "from repro.trials import _make_buffer, draw_trial\n\n\n"
-                "def test_trial():\n"
-                "    assert draw_trial is not None and _make_buffer is not None\n"
+            "src/repro/zigbee/kernels.py": self.FIXTURE.format(
+                dtype=", dtype=np.float64"
             ),
+            "tests/test_kernels.py": self.FIXTURE_TEST,
         })
-        result = _lint(tmp_path, select=["R009"])
-        assert result.diagnostics == []
+        diagnostics = _lint(tmp_path, select=["R009"])
+        assert diagnostics == []
 
-
-EVENTS_MODULE = """\
-EVENT_SCHEMAS = {
-    "run_started": {"required": (), "optional": ("seed",), "open": True},
-    "trial_retry": {
-        "required": ("trial_index",), "optional": (), "open": False,
-    },
-}
-"""
-
-
-class TestEventSchemaDiscipline:
-    """R010: every emit() matches the central declared schema."""
-
-    def test_undeclared_event_type_fails(self, tmp_path):
+    def test_dtypeless_allocation_without_trial_root_fails(self, tmp_path):
+        """A plain receiver method is in scope with no engine trial
+        anywhere: kernels reached through ``StreamSpec(trial=...)`` have
+        no ``@batch_trial`` root, so R009 must not depend on one."""
         _write_project(tmp_path, {
-            "src/repro/telemetry/events.py": EVENTS_MODULE,
-            "src/repro/engine.py": (
-                "def report(stream):\n"
-                "    stream.emit('trial_vanished', trial_index=3)\n"
+            "src/repro/zigbee/receiver.py": (
+                "import numpy as np\n\n\n"
+                "class ZigBeeReceiver:\n"
+                "    def receive(self, samples):\n"
+                "        soft = np.zeros(len(samples))\n"
+                "        return soft\n"
             ),
         })
-        result = _lint(tmp_path, select=["R010"])
-        assert _codes(result) == ["R010"]
-        assert "trial_vanished" in result.diagnostics[0].message
+        diagnostics = _lint(tmp_path, select=["R009"])
+        assert [(d.code, d.line) for d in diagnostics] == [("R009", 6)]
 
-    def test_undeclared_field_on_closed_schema_fails(self, tmp_path):
+    def test_code_outside_the_kernel_packages_is_out_of_scope(self, tmp_path):
         _write_project(tmp_path, {
-            "src/repro/telemetry/events.py": EVENTS_MODULE,
-            "src/repro/engine.py": (
-                "def report(stream):\n"
-                "    stream.emit('trial_retry', trial_index=3, mood='grim')\n"
+            "src/repro/experiments/table9.py": (
+                "import numpy as np\n\n\n"
+                "def rows(count):\n"
+                "    return np.zeros(count)\n"
             ),
         })
-        result = _lint(tmp_path, select=["R010"])
-        assert _codes(result) == ["R010"]
-        assert "mood" in result.diagnostics[0].message
-
-    def test_missing_required_field_fails(self, tmp_path):
-        _write_project(tmp_path, {
-            "src/repro/telemetry/events.py": EVENTS_MODULE,
-            "src/repro/engine.py": (
-                "def report(stream):\n"
-                "    stream.emit('trial_retry')\n"
-            ),
-        })
-        result = _lint(tmp_path, select=["R010"])
-        assert _codes(result) == ["R010"]
-        assert "trial_index" in result.diagnostics[0].message
-
-    def test_declared_emit_passes(self, tmp_path):
-        _write_project(tmp_path, {
-            "src/repro/telemetry/events.py": EVENTS_MODULE,
-            "src/repro/engine.py": (
-                "def report(stream):\n"
-                "    stream.emit('trial_retry', trial_index=3)\n"
-                "    stream.emit('run_started', seed=1, extra='fine')\n"
-            ),
-        })
-        result = _lint(tmp_path, select=["R010"])
-        assert result.diagnostics == []
+        assert _lint(tmp_path, select=["R009"]) == []
 
 
 class TestCounterCatalogue:
@@ -232,9 +194,9 @@ class TestCounterCatalogue:
             "src/repro/engine.py": self.CODE,
             "docs/OBSERVABILITY.md": self._catalogue("engine.retries"),
         })
-        result = _lint(tmp_path, select=["R011"])
-        assert _codes(result) == ["R011"]
-        messages = " ".join(d.message for d in result.diagnostics)
+        diagnostics = _lint(tmp_path, select=["R011"])
+        assert _codes(diagnostics) == ["R011"]
+        messages = " ".join(d.message for d in diagnostics)
         assert "engine.trials" in messages
 
     def test_documented_counter_passes(self, tmp_path):
@@ -242,8 +204,8 @@ class TestCounterCatalogue:
             "src/repro/engine.py": self.CODE,
             "docs/OBSERVABILITY.md": self._catalogue("engine.trials"),
         })
-        result = _lint(tmp_path, select=["R011"])
-        assert result.diagnostics == []
+        diagnostics = _lint(tmp_path, select=["R011"])
+        assert diagnostics == []
 
 
 class TestCrossModuleSuppression:
@@ -257,8 +219,8 @@ class TestCrossModuleSuppression:
                 "    return rows\n"
             ),
         })
-        result = _lint(tmp_path, select=["R008"])
-        assert result.diagnostics == []
+        diagnostics = _lint(tmp_path, select=["R008"])
+        assert diagnostics == []
 
     def test_disable_in_another_file_does_not_leak(self, tmp_path):
         _write_project(tmp_path, {
@@ -267,101 +229,8 @@ class TestCrossModuleSuppression:
             ),
             "src/repro/other.py": "# reprolint: disable=R008\n",
         })
-        result = _lint(tmp_path, select=["R008"])
-        assert _codes(result) == ["R008"]
-
-
-class TestIncrementalCache:
-    """The cache is keyed on content: edits invalidate, re-runs hit."""
-
-    def test_warm_run_hits_and_edit_invalidates(self, tmp_path):
-        root = _write_project(tmp_path, {
-            "src/repro/kernels.py": CLEAN_KERNELS,
-            "tests/test_kernels.py": CLEAN_KERNEL_TEST,
-        })
-        cache_dir = str(tmp_path / ".repro-lint-cache")
-        cold = _lint(root, cache_dir=cache_dir)
-        assert (cold.cache_hits, cold.cache_misses) == (0, 2)
-        warm = _lint(root, cache_dir=cache_dir)
-        assert (warm.cache_hits, warm.cache_misses) == (2, 0)
-
-        kernels = root / "src" / "repro" / "kernels.py"
-        kernels.write_text(kernels.read_text() + "\n\nEXTRA = 1\n")
-        edited = _lint(root, cache_dir=cache_dir)
-        assert (edited.cache_hits, edited.cache_misses) == (1, 1)
-
-    def test_cached_run_still_reports_project_violations(self, tmp_path):
-        """Project rules re-run from cached summaries — a second lint
-        must not lose cross-module diagnostics to the cache."""
-        root = _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
-        })
-        cache_dir = str(tmp_path / ".repro-lint-cache")
-        cold = _lint(root, cache_dir=cache_dir, select=["R008"])
-        warm = _lint(root, cache_dir=cache_dir, select=["R008"])
-        assert _codes(cold) == _codes(warm) == ["R008"]
-        assert warm.cache_hits == 1
-
-    def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
-        root = _write_project(tmp_path, {
-            "src/repro/kernels.py": CLEAN_KERNELS,
-            "tests/test_kernels.py": CLEAN_KERNEL_TEST,
-        })
-        cache_dir = tmp_path / ".repro-lint-cache"
-        _lint(root, cache_dir=str(cache_dir))
-        for entry in cache_dir.glob("*.json"):
-            entry.write_text("{not json")
-        rerun = _lint(root, cache_dir=str(cache_dir))
-        assert (rerun.cache_hits, rerun.cache_misses) == (0, 2)
-
-
-class TestBaselineRatchet:
-    """Adopt existing debt, stay green, fail only on new violations."""
-
-    def test_adopt_then_green_then_new_violation_fails(self, tmp_path):
-        root = _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
-        })
-        baseline_path = tmp_path / "reprolint-baseline.json"
-
-        dirty = _lint(root, select=["R008"])
-        assert _codes(dirty) == ["R008"]
-        adopted = write_baseline(str(baseline_path), dirty.diagnostics)
-        assert adopted == len(dirty.diagnostics)
-
-        budget = load_baseline(str(baseline_path))
-        clean = _lint(root, select=["R008"], baseline=budget)
-        assert clean.diagnostics == []
-        assert clean.baselined == len(dirty.diagnostics)
-
-        kernels = root / "src" / "repro" / "kernels.py"
-        kernels.write_text(
-            kernels.read_text() + "\n\ndef resample_batch(rows):\n    return rows\n"
-        )
-        budget = load_baseline(str(baseline_path))
-        regressed = _lint(root, select=["R008"], baseline=budget)
-        assert _codes(regressed) == ["R008"]
-        assert all("resample_batch" in d.message for d in regressed.diagnostics)
-
-    def test_baseline_matches_despite_line_drift(self, tmp_path):
-        root = _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
-        })
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(
-            str(baseline_path), _lint(root, select=["R008"]).diagnostics
-        )
-        kernels = root / "src" / "repro" / "kernels.py"
-        kernels.write_text("# a new leading comment\n" + kernels.read_text())
-        budget = load_baseline(str(baseline_path))
-        drifted = _lint(root, select=["R008"], baseline=budget)
-        assert drifted.diagnostics == []
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 1, "entries": [{"path": "x"}]}))
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
+        diagnostics = _lint(tmp_path, select=["R008"])
+        assert _codes(diagnostics) == ["R008"]
 
 
 class TestCliSurface:
@@ -372,13 +241,13 @@ class TestCliSurface:
 
     def test_unknown_select_code_exits_2(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("x = 1\n")
-        code = self._run([str(tmp_path), "--select", "R999", "--no-cache"])
+        code = self._run([str(tmp_path), "--select", "R999"])
         assert code == 2
         assert "R999" in capsys.readouterr().err
 
     def test_unknown_ignore_code_exits_2(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("x = 1\n")
-        code = self._run([str(tmp_path), "--ignore", "R008,R999", "--no-cache"])
+        code = self._run([str(tmp_path), "--ignore", "R008,R999"])
         assert code == 2
         assert "R999" in capsys.readouterr().err
 
@@ -390,41 +259,18 @@ class TestCliSurface:
         })
         code = self._run([
             str(tmp_path / "src"), "--select", "R008",
-            "--format", "json", "--no-cache",
+            "--format", "json",
         ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["summary"]["violations"] == len(payload["diagnostics"])
         (diag,) = [d for d in payload["diagnostics"] if d["code"] == "R008"]
         assert diag["path"].endswith("kernels.py")
         assert set(diag) >= {"path", "line", "column", "code", "message"}
-        summary = payload["summary"]
-        assert {"cache_hits", "cache_misses", "baselined"} <= set(summary)
-
-    def test_write_then_apply_baseline_through_cli(self, tmp_path, capsys):
-        _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
-        })
-        baseline = str(tmp_path / "baseline.json")
-        target = str(tmp_path / "src")
-
-        assert self._run([target, "--no-cache"]) == 1
-        capsys.readouterr()
-        assert self._run([target, "--no-cache", "--write-baseline", baseline]) == 0
-        assert "adopted" in capsys.readouterr().out
-        assert self._run([target, "--no-cache", "--baseline", baseline]) == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_malformed_baseline_exits_2(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text("x = 1\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("[]")
-        code = self._run([
-            str(tmp_path), "--no-cache", "--baseline", str(baseline)
-        ])
-        assert code == 2
-        assert "baseline" in capsys.readouterr().err.lower()
+        assert set(payload["summary"]) == {
+            "files_checked", "violations", "by_code",
+        }
 
 
 if __name__ == "__main__":

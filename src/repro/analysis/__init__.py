@@ -18,7 +18,6 @@ invariants:
 * **R006** no mutable default arguments, no bare or overbroad excepts
   in library code;
 * **R007** no print()/stream writes in library code;
-* **R008** every batch kernel has a scalar twin and a test (project);
 * **R009** explicit dtypes in the receive-chain kernel packages;
 * **R011** counters and the OBSERVABILITY.md catalogue agree (project);
 * **R012** engine wiring lives in the sweep runner.

@@ -23,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
             "AST-based invariant checker for the Hide-and-Seek "
             "reproduction: RNG determinism, picklability, telemetry and "
             "dB-unit discipline, receive-chain dtypes, engine wiring, "
-            "and batch/scalar and counter-catalogue parity (rules "
-            "R001-R009, R011, R012; see docs/STATIC_ANALYSIS.md)"
+            "and counter-catalogue parity (rules R001-R007, R009, R011, "
+            "R012; see docs/STATIC_ANALYSIS.md)"
         ),
     )
     parser.add_argument(

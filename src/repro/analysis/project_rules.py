@@ -1,10 +1,9 @@
-"""Cross-module rules R008 and R011 over the whole-program ProjectIndex.
+"""The cross-module rule R011 over the whole-program ProjectIndex.
 
 The per-file rules in :mod:`repro.analysis.rules` uphold invariants a
-single module can prove about itself.  Two conventions span files: a
-``*_batch`` kernel pairs with a scalar twin and a differential test
-elsewhere, and every counter incremented anywhere must appear in the
-OBSERVABILITY.md catalogue.  Rules here declare
+single module can prove about itself.  One convention spans files:
+every counter incremented anywhere must appear in the OBSERVABILITY.md
+catalogue.  Rules here declare
 ``scope = "project"`` and implement ``check_project(index)`` instead of
 the per-module ``check(module)``; the runner executes them once over
 the assembled :class:`~repro.analysis.project.ProjectIndex` and filters
@@ -19,11 +18,7 @@ from typing import Iterator, List, Set
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.project import (
-    ModuleSummary,
-    ProjectIndex,
-    iter_batch_pairs,
-)
+from repro.analysis.project import ModuleSummary, ProjectIndex
 from repro.analysis.registry import rule
 
 
@@ -50,71 +45,6 @@ def _diag(
     return Diagnostic(
         path=summary.path, line=line, column=col, code=code, message=message
     )
-
-
-@rule
-class BatchScalarParity(ProjectRule):
-    """R008: every batch kernel pairs with a scalar twin and a test.
-
-    The batched fast path's bit-identity guarantee is only checkable
-    while both halves of each pair exist and a differential test under
-    ``tests/`` exercises them.  A ``*_batch`` function (or any
-    ``@batch_trial`` function) must resolve a scalar counterpart —
-    same-scope ``foo``/``foo_once`` naming, or an explicit module-level
-    ``foo_batch.scalar_counterpart = foo`` declaration — and, for
-    public kernels and all batch trials, both names must be referenced
-    from at least one test module.
-    """
-
-    code = "R008"
-    name = "batch-scalar-parity"
-    rationale = (
-        "a batch kernel without a scalar twin and a differential test "
-        "has an unverifiable bit-identity claim"
-    )
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Diagnostic]:
-        have_tests = bool(index.test_summaries)
-        test_refs = index.test_references
-        for summary in index.library_summaries:
-            for batch, counterpart in iter_batch_pairs(summary):
-                line, col = batch["line"], batch["col"]
-                name = batch["name"]
-                if counterpart is None:
-                    hint = (
-                        "define the scalar twin in the same scope or "
-                        "declare it via "
-                        f"'{name}.scalar_counterpart = <fn>'"
-                    )
-                    yield _diag(
-                        summary, line, col, self.code,
-                        f"batch function '{name}' has no resolvable "
-                        f"scalar counterpart; {hint}",
-                    )
-                    continue
-                if counterpart not in index.function_names:
-                    yield _diag(
-                        summary, line, col, self.code,
-                        f"batch function '{name}' declares scalar "
-                        f"counterpart '{counterpart}' which is not "
-                        f"defined anywhere in the analyzed project",
-                    )
-                    continue
-                needs_test = batch["kind"] == "trial" or not name.startswith("_")
-                if not (have_tests and needs_test):
-                    continue
-                missing = [
-                    ref for ref in (name, counterpart)
-                    if ref not in test_refs
-                ]
-                if missing:
-                    yield _diag(
-                        summary, line, col, self.code,
-                        f"batch/scalar pair '{name}'/'{counterpart}' is "
-                        f"not exercised by any test under tests/ "
-                        f"(unreferenced: {', '.join(missing)}); add a "
-                        f"differential test pinning bit-identity",
-                    )
 
 
 @rule
@@ -194,7 +124,6 @@ def run_project_rules(
 
 # Re-exported for rule authors writing fixtures.
 __all__ = [
-    "BatchScalarParity",
     "CounterCatalogue",
     "ProjectRule",
     "module_rules",

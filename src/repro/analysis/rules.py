@@ -56,14 +56,13 @@ ENGINE_WIRING_NAMES = {
 }
 
 #: Path suffixes allowed to touch the engine-wiring primitives: the
-#: sweep runner itself, the layers it is built from, the throughput
-#: bench, and the package facade that re-exports the public names.
+#: sweep runner itself, the layers it is built from, and the package
+#: facade that re-exports the public names.
 ENGINE_WIRING_HOMES = (
     "repro/experiments/sweep.py",
     "repro/experiments/engine.py",
     "repro/experiments/checkpoint.py",
     "repro/experiments/adaptive.py",
-    "repro/experiments/bench.py",
     "repro/experiments/__init__.py",
 )
 
@@ -866,8 +865,8 @@ class DtypePromotionHygiene:
     name = "dtype-promotion-hygiene"
     rationale = (
         "Implicit float64 defaults and silent complex promotion in the "
-        "receive-chain kernels are where batched and scalar paths drift "
-        "apart by one ulp, breaking their bit-identity contract."
+        "receive-chain kernels are where a row drifts by one ulp between "
+        "batch sizes, breaking the kernels' row-independence contract."
     )
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:

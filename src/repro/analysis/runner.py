@@ -5,7 +5,7 @@ The **per-file pass** parses each module once, runs every module-scope
 rule, and extracts a :class:`~repro.analysis.project.ModuleSummary`.
 The **project phase** assembles the summaries into a
 :class:`~repro.analysis.project.ProjectIndex` and runs the two
-cross-module rules (R008, R011) over it; each resulting diagnostic is
+cross-module rule (R011) over it; each resulting diagnostic is
 filtered against the suppression comments of the file it *anchors* in
 — which for a cross-module rule may not be the file that triggered the
 analysis.
@@ -36,7 +36,7 @@ from repro.analysis.project import (
     find_project_root,
     summarize_module,
 )
-from repro.analysis.project_rules import (  # noqa: F401 - registers R008, R011
+from repro.analysis.project_rules import (  # noqa: F401 - registers R011
     module_rules,
     run_project_rules,
 )

@@ -75,11 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="trial-failure policy for engine-backed "
                           "experiments: raise (default), retry with the "
                           "same seed, or skip and record the failure")
-    run.add_argument("--no-batch", action="store_true",
-                     help="force the scalar per-trial path for "
-                          "engine-backed experiments instead of the "
-                          "vectorized batched receive chain (results are "
-                          "bit-identical either way at a seed)")
     run.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                      help="persist each completed sweep point atomically "
                           "under DIR so an interrupted run can resume")
@@ -127,33 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          default=[7.0, 12.0, 17.0], help="SNR grid in dB")
     dataset.add_argument("--seed", type=int, default=0)
 
-    bench = subparsers.add_parser(
-        "bench-engine",
-        help="measure Monte Carlo engine throughput (serial vs parallel) "
-             "and write a JSON baseline",
-    )
-    bench.add_argument("--experiment", default="table2",
-                       help="engine-backed experiment id (default: table2)")
-    bench.add_argument("--trials", type=int, default=200)
-    bench.add_argument("--workers", type=int, default=None,
-                       help="parallel-leg worker count "
-                            "(default: min(4, host CPUs))")
-    bench.add_argument("--chunk-size", type=int, default=None)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--no-batch", action="store_true",
-                       help="skip the scalar-vs-batched comparison and "
-                            "bench only the scalar path")
-    bench.add_argument("--no-adaptive", action="store_true",
-                       help="skip the adaptive precision-targeted leg")
-    bench.add_argument("--out", default=None,
-                       help="baseline path (default: BENCH_engine.json)")
-
     subparsers.add_parser(
         "lint",
         parents=[build_lint_parser()],
         add_help=False,
-        help="run reprolint, the AST invariant checker (rules R001-R009, "
-             "R011, R012)",
+        help="run reprolint, the AST invariant checker (rules R001-R007, "
+             "R009, R011, R012)",
     )
 
     report = subparsers.add_parser(
@@ -356,7 +330,6 @@ _CAPABILITY_FLAGS = (
     ("chunk_size", "--chunk-size"),
     ("on_error", "--on-error"),
     ("checkpoint", "--checkpoint-dir"),
-    ("batch", "--no-batch"),
     ("adaptive", "--adaptive"),
     ("scenario", "--scenario"),
 )
@@ -375,8 +348,6 @@ def _requested_capabilities(args: argparse.Namespace) -> List[str]:
         requested.append("on_error")
     if args.checkpoint_dir is not None:
         requested.append("checkpoint")
-    if args.no_batch:
-        requested.append("batch")
     if args.adaptive:
         requested.append("adaptive")
     if args.scenario is not None:
@@ -401,7 +372,6 @@ def _entry_kwargs(
     on_error: str,
     checkpoint_dir: Optional[str],
     resume: bool,
-    batch: bool,
     adaptive: bool,
     rel_precision: Optional[float],
     max_trials: Optional[int],
@@ -425,8 +395,6 @@ def _entry_kwargs(
     if checkpoint_dir is not None and "checkpoint" in capabilities:
         kwargs["checkpoint_dir"] = checkpoint_dir
         kwargs["resume"] = resume
-    if not batch and "batch" in capabilities:
-        kwargs["batch"] = False
     if adaptive and "adaptive" in capabilities:
         kwargs["adaptive"] = True
         if rel_precision is not None:
@@ -448,7 +416,6 @@ def _run_one(
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     run_dir: Any = None,
-    batch: bool = True,
     adaptive: bool = False,
     rel_precision: Optional[float] = None,
     max_trials: Optional[int] = None,
@@ -458,7 +425,7 @@ def _run_one(
     entry = get_experiment(experiment_id)
     kwargs = _entry_kwargs(
         entry, trials, workers, chunk_size, on_error,
-        checkpoint_dir, resume, batch, adaptive, rel_precision, max_trials,
+        checkpoint_dir, resume, adaptive, rel_precision, max_trials,
     )
     scenario_overrides: Optional[Dict[str, Any]] = None
     if scenario is not None:
@@ -679,26 +646,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.analysis.cli import execute as lint_execute
 
         return lint_execute(args)
-    if args.command == "bench-engine":
-        from repro.experiments.bench import (
-            DEFAULT_BASELINE_PATH,
-            write_engine_baseline,
-        )
-
-        out = args.out or DEFAULT_BASELINE_PATH
-        baseline = write_engine_baseline(
-            path=out,
-            experiment_id=args.experiment,
-            trials=args.trials,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            seed=args.seed,
-            batch=not args.no_batch,
-            adaptive=not args.no_adaptive,
-        )
-        print(json.dumps(baseline, indent=2))
-        print(f"[engine baseline written to {out}]")
-        return 0 if baseline["rows_identical"] else 1
     if args.command == "report":
         import os
 
@@ -788,7 +735,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                      on_error=args.on_error,
                      checkpoint_dir=args.checkpoint_dir,
                      resume=args.resume, run_dir=run_dir,
-                     batch=not args.no_batch,
                      adaptive=args.adaptive,
                      rel_precision=args.rel_precision,
                      max_trials=args.max_trials,

@@ -56,27 +56,10 @@ def reconstruct_constellation(
     Returns:
         Complex constellation points, one per chip pair.
     """
-    opts = options or ConstellationOptions()
     soft = np.asarray(soft_chips, dtype=np.float64)
     if soft.ndim != 1:
         raise ConfigurationError("soft chips must be a 1-D array")
-    if opts.drop_header_chips < 0:
-        raise ConfigurationError("drop_header_chips must be >= 0")
-    soft = soft[opts.drop_header_chips :]
-    usable = soft.size - (soft.size % 2)
-    if usable < 2:
-        raise ConfigurationError("need at least one chip pair")
-    soft = soft[:usable]
-
-    points = soft[0::2] + 1j * soft[1::2]
-    if opts.rotate_to_axes:
-        points = points * _ROTATION
-    if opts.normalize:
-        power = float(np.mean(np.abs(points) ** 2))
-        if power <= 0.0:
-            raise ConfigurationError("cannot normalize zero-power points")
-        points = points / np.sqrt(power)
-    return points
+    return reconstruct_constellation_batch(soft[np.newaxis, :], options)[0]
 
 
 def reconstruct_constellation_batch(
@@ -87,8 +70,7 @@ def reconstruct_constellation_batch(
     Each row must hold the same number of soft chips (callers group
     packets by length).  The complex points are assembled by real/imag
     component copies and every reduction runs along the last axis, so
-    row ``r`` of the result is bit-identical to
-    ``reconstruct_constellation(soft_chips[r], options)``.
+    each row's points do not depend on the other rows.
     """
     opts = options or ConstellationOptions()
     soft = np.asarray(soft_chips, dtype=np.float64)

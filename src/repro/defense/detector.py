@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.defense.constellation import (
     ConstellationOptions,
-    reconstruct_constellation,
     reconstruct_constellation_batch,
 )
 from repro.defense.moments import (
@@ -46,6 +45,9 @@ DEFAULT_THRESHOLD = 0.022
 
 #: The threshold the paper reports for its USRP/GNU Radio receiver.
 PAPER_THRESHOLD = 0.5
+
+#: The theoretical QPSK vertex v = [1, -1] of the Voronoi test.
+_QPSK_VERTEX = np.array([1.0, -1.0])
 
 
 class Hypothesis(enum.Enum):
@@ -110,33 +112,45 @@ class CumulantDetector:
         first = abs(c40) if self.use_abs_c40 else float(np.real(c40))
         return np.array([first, estimate.c42_hat])
 
-    def statistic_from_points(
-        self, points: np.ndarray, noise_variance: Optional[float] = None
-    ) -> DetectionResult:
-        """Compute D_E^2 from already-reconstructed constellation points."""
-        variance = self.noise_variance if noise_variance is None else noise_variance
-        telemetry = get_telemetry()
-        estimate = estimate_cumulants(points, noise_variance=variance)
-        with telemetry.span("defense.voronoi_test"):
-            feature = self.feature_vector(estimate)
-            target = np.array([1.0, -1.0])
-            distance_squared = float(np.sum((feature - target) ** 2))
-            hypothesis = (
-                Hypothesis.WIFI_ATTACKER
-                if distance_squared >= self.threshold
-                else Hypothesis.ZIGBEE_TRANSMITTER
-            )
-        if telemetry.enabled:
-            verdict = "emulated" if hypothesis is Hypothesis.WIFI_ATTACKER \
-                else "authentic"
-            telemetry.count("detector.decisions", verdict=verdict)
-            telemetry.observe("detector.distance_squared", distance_squared)
+    def _decide(self, estimate: CumulantEstimate) -> DetectionResult:
+        """The Voronoi test of Eq. (10) on one cumulant estimate."""
+        feature = self.feature_vector(estimate)
+        distance_squared = float(np.sum((feature - _QPSK_VERTEX) ** 2))
+        hypothesis = (
+            Hypothesis.WIFI_ATTACKER
+            if distance_squared >= self.threshold
+            else Hypothesis.ZIGBEE_TRANSMITTER
+        )
         return DetectionResult(
             hypothesis=hypothesis,
             distance_squared=distance_squared,
             feature=feature,
             cumulants=estimate,
         )
+
+    @staticmethod
+    def _record(results: Sequence[DetectionResult]) -> None:
+        """Per-decision telemetry, in input order."""
+        telemetry = get_telemetry()
+        if not telemetry.enabled:
+            return
+        for result in results:
+            verdict = "emulated" if result.is_attack else "authentic"
+            telemetry.count("detector.decisions", verdict=verdict)
+            telemetry.observe(
+                "detector.distance_squared", result.distance_squared
+            )
+
+    def statistic_from_points(
+        self, points: np.ndarray, noise_variance: Optional[float] = None
+    ) -> DetectionResult:
+        """Compute D_E^2 from already-reconstructed constellation points."""
+        variance = self.noise_variance if noise_variance is None else noise_variance
+        estimate = estimate_cumulants(points, noise_variance=variance)
+        with get_telemetry().span("defense.voronoi_test"):
+            result = self._decide(estimate)
+        self._record([result])
+        return result
 
     def statistic(
         self, soft_chips: np.ndarray, chip_noise_variance: Optional[float] = None
@@ -149,48 +163,21 @@ class CumulantDetector:
                 receiver's noise-floor estimate); when given, the paper's
                 noise-variance subtraction is applied in the normalized
                 constellation domain.
+
+        Raises:
+            ConfigurationError: for non-finite soft chips, a constellation
+                without power, or a negative noise variance.
         """
-        from dataclasses import replace
-
-        options = self.constellation_options
         with get_telemetry().span("defense.detect"):
-            with get_telemetry().span("defense.constellation"):
-                raw = reconstruct_constellation(
-                    soft_chips, replace(options, normalize=False)
-                )
-            total_power = float(np.mean(np.abs(raw) ** 2))
-            if total_power <= 0:
-                raise ConfigurationError("constellation has no power")
-            points = raw / np.sqrt(total_power) if options.normalize else raw
-
-            noise_variance: Optional[float] = None
-            if chip_noise_variance is not None:
-                if chip_noise_variance < 0:
-                    raise ConfigurationError("chip_noise_variance must be >= 0")
-                # A constellation point is a unitary combination of two chips,
-                # so its noise power equals the per-chip noise power; rescale
-                # into the normalized domain.
-                noise_variance = chip_noise_variance / total_power
-                noise_variance = min(noise_variance, 0.9)  # guard degenerate
-            return self.statistic_from_points(
-                points, noise_variance=noise_variance
-            )
+            return self._statistic_rows([soft_chips], [chip_noise_variance])[0]
 
     def statistic_batch(
         self,
         soft_chips_rows: Sequence[np.ndarray],
         chip_noise_variances: Optional[Sequence[Optional[float]]] = None,
     ) -> List[DetectionResult]:
-        """Batched :meth:`statistic` over per-packet soft chip vectors.
-
-        Rows are grouped by chip count so each group forms a contiguous
-        rectangular stack; within a group the constellation build and
-        the moment reductions are vectorized along the last axis, which
-        keeps every row bit-identical to a scalar :meth:`statistic`
-        call on that row.  Results come back in input order and the
-        per-decision telemetry matches the scalar path's totals.
-        """
-        rows = [np.asarray(row, dtype=np.float64) for row in soft_chips_rows]
+        """:meth:`statistic` over per-packet soft chip vectors, in order."""
+        rows = list(soft_chips_rows)
         if chip_noise_variances is None:
             variances: List[Optional[float]] = [None] * len(rows)
         else:
@@ -199,6 +186,24 @@ class CumulantDetector:
                 raise ConfigurationError(
                     "need one chip_noise_variance per soft-chip row"
                 )
+        with get_telemetry().span("defense.detect_batch"):
+            return self._statistic_rows(rows, variances)
+
+    def _statistic_rows(
+        self,
+        soft_chips_rows: Sequence[np.ndarray],
+        variances: Sequence[Optional[float]],
+    ) -> List[DetectionResult]:
+        """The one body behind :meth:`statistic` and :meth:`statistic_batch`.
+
+        Rows are grouped by chip count so each group forms a contiguous
+        rectangular stack; within a group the constellation build and
+        the moment reductions are vectorized along the last axis, so a
+        row's result never depends on the other rows.  A row with a
+        non-finite soft chip raises instead of yielding a NaN statistic,
+        which the threshold test would label authentic.
+        """
+        rows = [np.asarray(row, dtype=np.float64) for row in soft_chips_rows]
         groups: Dict[int, List[int]] = {}
         for index, row in enumerate(rows):
             if row.ndim != 1:
@@ -209,66 +214,53 @@ class CumulantDetector:
 
         options = self.constellation_options
         telemetry = get_telemetry()
-        results: List[Optional[DetectionResult]] = [None] * len(rows)
-        with telemetry.span("defense.detect_batch"):
-            for indices in groups.values():
-                stack = np.ascontiguousarray(
-                    np.stack([rows[index] for index in indices])
+        results: Dict[int, DetectionResult] = {}
+        for indices in groups.values():
+            stack = np.ascontiguousarray(
+                np.stack([rows[index] for index in indices])
+            )
+            finite = np.isfinite(stack).all(axis=-1)
+            if not finite.all():
+                raise ConfigurationError(
+                    f"soft chip row {indices[int(np.argmin(finite))]} "
+                    f"holds a non-finite sample"
                 )
-                with telemetry.span("defense.constellation"):
-                    raw = reconstruct_constellation_batch(
-                        stack, replace(options, normalize=False)
-                    )
-                total_power = np.mean(np.abs(raw) ** 2, axis=-1)
-                if np.any(total_power <= 0):
-                    raise ConfigurationError("constellation has no power")
-                points = (
-                    raw / np.sqrt(total_power)[:, None]
-                    if options.normalize
-                    else raw
+            with telemetry.span("defense.constellation"):
+                raw = reconstruct_constellation_batch(
+                    stack, replace(options, normalize=False)
                 )
-                effective = np.empty(len(indices), dtype=np.float64)
-                for position, index in enumerate(indices):
-                    variance = variances[index]
-                    if variance is None:
-                        effective[position] = self.noise_variance
-                    else:
-                        if variance < 0:
-                            raise ConfigurationError(
-                                "chip_noise_variance must be >= 0"
-                            )
-                        # Same rescale-and-guard as the scalar path.
-                        effective[position] = min(
-                            variance / float(total_power[position]), 0.9
-                        )
-                estimates = estimate_cumulants_batch(points, effective)
-                with telemetry.span("defense.voronoi_test"):
-                    target = np.array([1.0, -1.0])
-                    for position, index in enumerate(indices):
-                        estimate = estimates[position]
-                        feature = self.feature_vector(estimate)
-                        distance_squared = float(
-                            np.sum((feature - target) ** 2)
-                        )
-                        hypothesis = (
-                            Hypothesis.WIFI_ATTACKER
-                            if distance_squared >= self.threshold
-                            else Hypothesis.ZIGBEE_TRANSMITTER
-                        )
-                        results[index] = DetectionResult(
-                            hypothesis=hypothesis,
-                            distance_squared=distance_squared,
-                            feature=feature,
-                            cumulants=estimate,
-                        )
-        if telemetry.enabled:
-            for result in results:
-                verdict = "emulated" if result.is_attack else "authentic"
-                telemetry.count("detector.decisions", verdict=verdict)
-                telemetry.observe(
-                    "detector.distance_squared", result.distance_squared
+            total_power = np.mean(np.abs(raw) ** 2, axis=-1)
+            if np.any(total_power <= 0):
+                raise ConfigurationError("constellation has no power")
+            if not np.isfinite(total_power).all():
+                raise ConfigurationError("constellation power overflows")
+            points = (
+                raw / np.sqrt(total_power)[:, None]
+                if options.normalize
+                else raw
+            )
+            effective = np.empty(len(indices), dtype=np.float64)
+            for position, index in enumerate(indices):
+                variance = variances[index]
+                if variance is None:
+                    effective[position] = self.noise_variance
+                    continue
+                if variance < 0:
+                    raise ConfigurationError("chip_noise_variance must be >= 0")
+                # A constellation point is a unitary combination of two
+                # chips, so its noise power equals the per-chip noise
+                # power; rescale into the normalized domain and guard
+                # the degenerate case.
+                effective[position] = min(
+                    variance / float(total_power[position]), 0.9
                 )
-        return [result for result in results if result is not None]
+            estimates = estimate_cumulants_batch(points, effective)
+            with telemetry.span("defense.voronoi_test"):
+                for index, estimate in zip(indices, estimates):
+                    results[index] = self._decide(estimate)
+        ordered = [results[index] for index in range(len(rows))]
+        self._record(ordered)
+        return ordered
 
     def classify(self, soft_chips: np.ndarray) -> Hypothesis:
         """Convenience wrapper returning only the hypothesis."""

@@ -18,10 +18,9 @@ from repro.attack.emulator import (
     EmulationResult,
     WaveformEmulationAttack,
 )
-from repro.channel.awgn import AwgnChannel
-from repro.errors import ConfigurationError, SynchronizationError
+from repro.errors import ConfigurationError
 from repro.telemetry import get_telemetry
-from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
+from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.signal_ops import Waveform
 from repro.zigbee.receiver import ReceivedPacket, ReceiverConfig, ZigBeeReceiver
 from repro.zigbee.transmitter import TransmitResult, ZigBeeTransmitter
@@ -179,25 +178,14 @@ def transmit_once(
 ) -> Optional[ReceivedPacket]:
     """One noisy transmission of a prepared waveform; None = sync lost.
 
-    ``channel_factory`` (a scenario override; see
-    :mod:`repro.experiments.sweep`) replaces the default AWGN stage with
-    ``channel_factory(snr_db, rng)``; the default path is untouched and
-    stays byte-identical to the committed baselines.
+    The one-row case of :func:`transmit_batch`.  ``channel_factory`` (a
+    scenario override; see :mod:`repro.experiments.sweep`) replaces the
+    default AWGN stage with ``channel_factory(snr_db, rng)``.
     """
-    telemetry = get_telemetry()
-    with telemetry.span("experiment.transmit_once"):
-        waveform = prepared.on_air
-        if channel_factory is not None:
-            with telemetry.span("channel.custom"):
-                waveform = channel_factory(snr_db, rng).apply(waveform)
-        elif snr_db is not None:
-            with telemetry.span("channel.awgn"):
-                waveform = AwgnChannel(snr_db=snr_db, rng=rng).apply(waveform)
-        try:
-            return receiver.receive(waveform)
-        except SynchronizationError:
-            telemetry.count("experiment.sync_lost")
-            return None
+    with get_telemetry().span("experiment.transmit_once"):
+        return _transmit_rows(
+            prepared, receiver, snr_db, [ensure_rng(rng)], channel_factory
+        )[0]
 
 
 def transmit_batch(
@@ -207,51 +195,64 @@ def transmit_batch(
     rngs: Sequence[np.random.Generator],
     channel_factory: Optional[Callable[..., Any]] = None,
 ) -> List[Optional[ReceivedPacket]]:
-    """Batched :func:`transmit_once`: one noise realization per RNG.
+    """Noisy transmissions of a prepared waveform, one per RNG.
 
     The prepared waveform is normalized once; each row's noise is drawn
-    with the exact same 1-D generator calls :class:`AwgnChannel` makes
-    (so row ``r`` is bit-identical to ``transmit_once`` with ``rngs[r]``)
-    and the whole stack goes through the receiver's batched chain.  A
-    ``channel_factory`` replaces the AWGN stage row by row, keeping the
-    per-row bit-identity with the scalar path.
+    with the exact same 1-D generator calls
+    :class:`repro.channel.awgn.AwgnChannel` makes, so a row depends only
+    on its own RNG, and the whole stack goes through the receiver's
+    batched chain.  A ``channel_factory`` replaces the AWGN stage row by
+    row.  ``None`` rows lost sync.
     """
+    if not rngs:
+        return []
+    with get_telemetry().span("experiment.transmit_batch"):
+        return _transmit_rows(
+            prepared, receiver, snr_db, rngs, channel_factory
+        )
+
+
+def _transmit_rows(
+    prepared: PreparedLink,
+    receiver: ZigBeeReceiver,
+    snr_db: Optional[float],
+    rngs: Sequence[np.random.Generator],
+    channel_factory: Optional[Callable[..., Any]],
+) -> List[Optional[ReceivedPacket]]:
+    """The one body behind :func:`transmit_once` and :func:`transmit_batch`."""
     from repro.utils.signal_ops import db_to_linear, normalize_power
 
     telemetry = get_telemetry()
-    if not rngs:
-        return []
-    with telemetry.span("experiment.transmit_batch"):
-        waveform = prepared.on_air
-        samples = waveform.samples
-        if channel_factory is not None:
-            with telemetry.span("channel.custom"):
-                rows = [
-                    channel_factory(snr_db, generator).apply(waveform).samples
-                    for generator in rngs
-                ]
-                stacked = np.stack(rows)
-        elif snr_db is None:
-            stacked = np.tile(samples, (len(rngs), 1))
-        else:
-            with telemetry.span("channel.awgn"):
-                normalized = normalize_power(samples)
-                noise_variance = 1.0 / db_to_linear(snr_db)
-                scale = np.sqrt(noise_variance / 2.0)
-                stacked = np.empty(
-                    (len(rngs), normalized.size), dtype=np.complex128
+    waveform = prepared.on_air
+    samples = waveform.samples
+    if channel_factory is not None:
+        with telemetry.span("channel.custom"):
+            rows = [
+                channel_factory(snr_db, generator).apply(waveform).samples
+                for generator in rngs
+            ]
+            stacked = np.stack(rows)
+    elif snr_db is None:
+        stacked = np.tile(samples, (len(rngs), 1))
+    else:
+        with telemetry.span("channel.awgn"):
+            normalized = normalize_power(samples)
+            noise_variance = 1.0 / db_to_linear(snr_db)
+            scale = np.sqrt(noise_variance / 2.0)
+            stacked = np.empty(
+                (len(rngs), normalized.size), dtype=np.complex128
+            )
+            for row, generator in enumerate(rngs):
+                noise = scale * (
+                    generator.standard_normal(normalized.size)
+                    + 1j * generator.standard_normal(normalized.size)
                 )
-                for row, generator in enumerate(rngs):
-                    noise = scale * (
-                        generator.standard_normal(normalized.size)
-                        + 1j * generator.standard_normal(normalized.size)
-                    )
-                    stacked[row] = normalized + noise
-        packets = receiver.receive_batch(stacked, waveform.sample_rate_hz)
-        for packet in packets:
-            if packet is None:
-                telemetry.count("experiment.sync_lost")
-        return packets
+                stacked[row] = normalized + noise
+    packets = receiver.receive_batch(stacked, waveform.sample_rate_hz)
+    for packet in packets:
+        if packet is None:
+            telemetry.count("experiment.sync_lost")
+    return packets
 
 
 def packet_delivered(prepared: PreparedLink, packet: Optional[ReceivedPacket]) -> bool:

@@ -135,9 +135,9 @@ def batch_trial(trial: Callable) -> Callable:
     trial in the chunk, each freshly built from that trial's own spawned
     stream seed in trial order — and must return one result row per
     generator, in the same order.  Because every generator is identical
-    to the one the scalar path would hand that trial, a batched trial
-    whose kernels are row-independent produces rows bit-identical to the
-    scalar path at the same seed, for any workers/chunk size.
+    to the one a one-row call would get, a batched trial whose kernels
+    are row-independent produces the same rows at the same seed for any
+    workers/chunk size.
     """
     trial.batch = True
     return trial
@@ -156,10 +156,9 @@ def _call_trial(
 ) -> Any:
     """Invoke one trial through its declared calling convention.
 
-    Batched trials execute as a single-row batch here, which is exactly
-    how the scalar oracle for a batched trial is defined — so retries
-    and fallback executions of batched trials reproduce batch rows
-    bit-for-bit.
+    Batched trials execute as a single-row batch here, so retries and
+    fallback executions of a row-independent batched trial reproduce its
+    batch rows bit-for-bit.
     """
     if _is_batch_trial(trial):
         rows = trial(context, static_args, [rng])

@@ -24,7 +24,6 @@ from repro.experiments.common import (
 from repro.experiments.defense_common import (
     _distance_or_none,
     statistic_trial,
-    statistic_trial_batch,
 )
 from repro.experiments.sweep import (
     PointSpec,
@@ -65,7 +64,6 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
             streams.append(StreamSpec(
                 key=f"snr{snr:g}.{split}.{label}", rng_slot=4 * i + j,
                 budget=budgets[split], trial=statistic_trial,
-                batch=statistic_trial_batch,
                 static_args=(label, "quadrature", False, snr),
                 kind="mean", extract=_distance_or_none,
             ))
@@ -173,7 +171,6 @@ def run(
     on_error: str = "raise",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    batch: bool = True,
     adaptive: bool = False,
     rel_precision: float = DEFAULT_REL_PRECISION,
     max_trials: Optional[int] = None,
@@ -182,10 +179,8 @@ def run(
 
     Checkpointing persists each (SNR, split, class) collection point;
     the threshold and the table rows are cheap reductions recomputed
-    from the (possibly resumed) points every run.  ``batch`` runs the
-    collections through the vectorized batched receive chain
-    (bit-identical to the scalar path at the same seed).  ``adaptive``
-    stops each collection point once its mean-D_E^2 Welford CI reaches
+    from the (possibly resumed) points every run.  ``adaptive`` stops
+    each collection point once its mean-D_E^2 Welford CI reaches
     ``rel_precision`` relative half-width (cap ``max_trials``).
     """
     return run_sweep(
@@ -196,7 +191,7 @@ def run(
             "test_per_class": test_per_class,
         },
         rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume, batch=batch,
+        checkpoint_dir=checkpoint_dir, resume=resume,
         adaptive=adaptive, rel_precision=rel_precision,
         max_trials=max_trials,
     )

@@ -12,8 +12,8 @@ plan, context factory, fingerprint, row reduction) and
 :func:`run_sweep` owns ALL of the wiring in exactly one place:
 
 * seed-stream discipline: ``spawn_rngs`` slots are allocated by the
-  plan so serial == parallel == batched == the adaptive prefix at the
-  same seed, and the context is built *after* the streams are spawned;
+  plan so serial == parallel == the adaptive prefix at the same seed,
+  and the context is built *after* the streams are spawned;
 * checkpointing: per-point or per-stream units with resume
   fingerprinting (seed, axis, budgets, adaptive config, scenario);
 * adaptive sampling: streams declare ``rate``/``mean`` metrics and the
@@ -111,8 +111,9 @@ class StreamSpec:
             stream keeps its noise draws even when a sibling stream is
             disabled (e.g. Table II without the authentic baseline).
         budget: fixed trial count, and the adaptive base budget.
-        trial: scalar engine trial ``(context, static_args, rng)``.
-        batch: optional ``@batch_trial`` twin (bit-identical rows).
+        trial: the stream's engine trial — ``@batch_trial`` functions
+            take ``(context, static_args, rngs)`` and return one row per
+            RNG, plain ones ``(context, static_args, rng)`` and one row.
         static_args: per-point parameters passed to every trial.
         kind: adaptive estimator — ``"rate"`` (Wilson) or ``"mean"``
             (Welford).
@@ -124,14 +125,18 @@ class StreamSpec:
     rng_slot: int
     budget: int
     trial: TrialFn
-    batch: Optional[TrialFn] = None
     static_args: Tuple[Any, ...] = ()
     kind: str = "mean"
     extract: Callable[[Any], Any] = _identity
 
     def resolve_trial(self, batch: bool) -> TrialFn:
-        """The batched twin when requested and declared, else the scalar."""
-        return self.batch if (batch and self.batch is not None) else self.trial
+        """The stream's trial; the runner's one accessor for it.
+
+        ``batch`` is unused.  It stays because tracing wrappers patch
+        this method as ``resolve_trial(spec, batch)`` (see
+        ``sweepbench/tracer.py``) to count every trial dispatch.
+        """
+        return self.trial
 
 
 @dataclass(frozen=True)
@@ -589,7 +594,6 @@ def run_sweep(
     on_error: str = "raise",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    batch: bool = True,
     adaptive: bool = False,
     rel_precision: float = DEFAULT_REL_PRECISION,
     max_trials: Optional[int] = None,
@@ -607,8 +611,6 @@ def run_sweep(
         checkpoint_dir: persist each completed unit atomically.
         resume: serve completed units from ``checkpoint_dir`` (requires
             a matching fingerprint: same seed, axis, budgets, scenario).
-        batch: run streams that declare a batched trial through the
-            vectorized path (bit-identical to scalar at the same seed).
         adaptive: stop each stream once its declared estimator reaches
             the target relative CI half-width, reallocating saved
             trials to unconverged streams.
@@ -653,12 +655,12 @@ def run_sweep(
     if spec.checkpoint_unit == "point":
         _run_point_unit(
             spec, config, plan, rngs, context, engine, store, stream,
-            result, adaptive_config, batch,
+            result, adaptive_config,
         )
     elif spec.checkpoint_unit == "stream":
         _run_stream_unit(
             spec, config, plan, rngs, context, engine, store, stream,
-            result, adaptive_config, batch,
+            result, adaptive_config,
         )
     else:
         raise ConfigurationError(
@@ -688,7 +690,6 @@ def _run_point_unit(
     stream: Any,
     result: ExperimentResult,
     adaptive_config: Optional[AdaptiveConfig],
-    batch: bool,
 ) -> None:
     """Point-unit sweeps: one checkpoint payload per point — its row."""
     if spec.reduce_point is None:
@@ -717,7 +718,7 @@ def _run_point_unit(
                 )
                 states[point.key] = {
                     s.key: sweep.point(
-                        s.resolve_trial(batch), rng=rngs[s.rng_slot],
+                        s.resolve_trial(True), rng=rngs[s.rng_slot],
                         static_args=s.static_args,
                         estimator=_make_estimator(sweep, s),
                         extract=s.extract, key=s.key, base=s.budget,
@@ -755,7 +756,7 @@ def _run_point_unit(
                 )
                 results = {
                     s.key: session.run(
-                        s.resolve_trial(batch), s.budget,
+                        s.resolve_trial(True), s.budget,
                         rng=rngs[s.rng_slot], static_args=s.static_args,
                     )
                     for s in point.streams
@@ -782,7 +783,6 @@ def _run_stream_unit(
     stream: Any,
     result: ExperimentResult,
     adaptive_config: Optional[AdaptiveConfig],
-    batch: bool,
 ) -> None:
     """Stream-unit sweeps: one payload per stream — its value list.
 
@@ -813,7 +813,7 @@ def _run_stream_unit(
                 stream.point_started(spec.experiment_id, s.key,
                                      trials=s.budget)
                 states[s.key] = sweep.point(
-                    s.resolve_trial(batch), rng=rngs[s.rng_slot],
+                    s.resolve_trial(True), rng=rngs[s.rng_slot],
                     static_args=s.static_args,
                     estimator=_make_estimator(sweep, s),
                     extract=s.extract, key=s.key, base=s.budget,
@@ -839,7 +839,7 @@ def _run_stream_unit(
                 stream.point_started(spec.experiment_id, s.key,
                                      trials=s.budget)
                 raw = session.run(
-                    s.resolve_trial(batch), s.budget,
+                    s.resolve_trial(True), s.budget,
                     rng=rngs[s.rng_slot], static_args=s.static_args,
                 )
                 values = [

@@ -13,7 +13,7 @@ the defense spans/counters when telemetry is enabled.
 
 The sweep is declared as :data:`SPEC` and runs on
 :func:`repro.experiments.sweep.run_sweep`, which owns all of the
-engine/checkpoint/adaptive/batch wiring; pass ``workers`` to parallelize
+engine/checkpoint/adaptive wiring; pass ``workers`` to parallelize
 paper-scale sweeps (results are bit-identical to serial at the same
 seed).
 """
@@ -31,7 +31,6 @@ from repro.experiments.common import (
     prepare_authentic,
     prepare_emulated,
     transmit_batch,
-    transmit_once,
 )
 from repro.experiments.engine import batch_trial
 from repro.experiments.sweep import (
@@ -51,47 +50,13 @@ from repro.utils.rng import RngLike
 PAPER_SUCCESS_RATES = {7: 0.424, 9: 0.692, 11: 0.874, 13: 0.933, 15: 0.972, 17: 1.0}
 
 
-def _emulated_trial(
-    context: Dict[str, Any], args: Tuple[Any, ...], rng: np.random.Generator
-) -> Tuple[bool, bool, bool]:
-    """One noisy emulated transmission: (delivered, screened, detected)."""
-    (snr,) = args
-    prepared = context["emulated"]
-    packet = transmit_once(
-        prepared, context["receiver"], snr, rng,
-        channel_factory=context.get("channel_factory"),
-    )
-    delivered = packet_delivered(prepared, packet)
-    screened = detected = False
-    detector = context["detector"]
-    if detector is not None and packet is not None and packet.decoded:
-        chips = packet.diagnostics.psdu_quadrature_soft_chips
-        if chips.size >= 64:
-            screened = True
-            detected = bool(detector.statistic(chips).is_attack)
-    return delivered, screened, detected
-
-
-def _authentic_trial(
-    context: Dict[str, Any], args: Tuple[Any, ...], rng: np.random.Generator
-) -> bool:
-    """One noisy authentic transmission: delivered or not."""
-    (snr,) = args
-    prepared = context["authentic"]
-    packet = transmit_once(
-        prepared, context["receiver"], snr, rng,
-        channel_factory=context.get("channel_factory"),
-    )
-    return packet_delivered(prepared, packet)
-
-
 @batch_trial
-def _emulated_trial_batch(
+def _emulated_trial(
     context: Dict[str, Any],
     args: Tuple[Any, ...],
     rngs: List[np.random.Generator],
 ) -> List[Tuple[bool, bool, bool]]:
-    """Batched :func:`_emulated_trial`: one row per RNG, bit-identical."""
+    """Noisy emulated transmissions: (delivered, screened, detected) per RNG."""
     (snr,) = args
     prepared = context["emulated"]
     packets = transmit_batch(
@@ -121,17 +86,17 @@ def _delivered_flag(row: Any) -> bool:
 
 
 def _authentic_flag(row: Any) -> bool:
-    """Adaptive-rate observation for the scalar authentic delivery flag."""
+    """Adaptive-rate observation for the authentic delivery flag."""
     return bool(row)
 
 
 @batch_trial
-def _authentic_trial_batch(
+def _authentic_trial(
     context: Dict[str, Any],
     args: Tuple[Any, ...],
     rngs: List[np.random.Generator],
 ) -> List[bool]:
-    """Batched :func:`_authentic_trial`: one delivery flag per RNG."""
+    """Noisy authentic transmissions: one delivery flag per RNG."""
     (snr,) = args
     prepared = context["authentic"]
     packets = transmit_batch(
@@ -158,7 +123,7 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
         key = f"snr{snr:g}"
         streams = [StreamSpec(
             key=key, rng_slot=2 * i, budget=trials,
-            trial=_emulated_trial, batch=_emulated_trial_batch,
+            trial=_emulated_trial,
             static_args=(snr,), kind="rate", extract=_delivered_flag,
         )]
         # The authentic baseline keeps its own slot even when disabled,
@@ -166,7 +131,7 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
         if config["include_authentic"]:
             streams.append(StreamSpec(
                 key=f"{key}.authentic", rng_slot=2 * i + 1, budget=trials,
-                trial=_authentic_trial, batch=_authentic_trial_batch,
+                trial=_authentic_trial,
                 static_args=(snr,), kind="rate", extract=_authentic_flag,
             ))
         points.append(PointSpec(
@@ -291,7 +256,6 @@ def run(
     on_error: str = "raise",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    batch: bool = True,
     adaptive: bool = False,
     rel_precision: float = DEFAULT_REL_PRECISION,
     max_trials: Optional[int] = None,
@@ -302,9 +266,9 @@ def run(
     ``screen_defense`` runs the cumulant detector over each decoded
     emulated packet and reports the flagged fraction.  The engine knobs
     (``workers``/``chunk_size``/``on_error``/``checkpoint_dir``/
-    ``resume``/``batch``/``adaptive``/``rel_precision``/``max_trials``)
-    are the standard :func:`repro.experiments.sweep.run_sweep` contract:
-    parallel, batched, and resumed runs stay bit-identical to the serial
+    ``resume``/``adaptive``/``rel_precision``/``max_trials``) are the
+    standard :func:`repro.experiments.sweep.run_sweep` contract:
+    parallel and resumed runs stay bit-identical to the serial
     fixed-budget rows at the same seed, and ``adaptive`` stops each
     point at its Wilson-CI precision target, adding ``trials_used`` and
     the CI bounds to each row.
@@ -318,7 +282,7 @@ def run(
             "screen_defense": screen_defense,
         },
         rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume, batch=batch,
+        checkpoint_dir=checkpoint_dir, resume=resume,
         adaptive=adaptive, rel_precision=rel_precision,
         max_trials=max_trials,
     )

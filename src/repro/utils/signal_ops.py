@@ -124,19 +124,10 @@ def polyphase_resample(
     Used to move between the ZigBee native 4 Msps and the shared 20 Msps
     "air" rate.  Rates must form a rational ratio with small terms.
     """
-    if input_rate_hz <= 0 or output_rate_hz <= 0:
-        raise ConfigurationError("sample rates must be positive")
     array = _as_complex_array(samples)
-    if input_rate_hz == output_rate_hz:
-        return array.copy()
-    from fractions import Fraction
-
-    ratio = Fraction(output_rate_hz / input_rate_hz).limit_denominator(1000)
-    if ratio.numerator > 10_000 or ratio.denominator > 10_000:
-        raise ConfigurationError(
-            f"rate ratio {output_rate_hz}/{input_rate_hz} is not a small rational"
-        )
-    return sp_signal.resample_poly(array, ratio.numerator, ratio.denominator)
+    return polyphase_resample_batch(
+        array[np.newaxis, :], input_rate_hz, output_rate_hz
+    )[0]
 
 
 def fft_interpolate(samples: ArrayLike, factor: int) -> np.ndarray:
@@ -246,7 +237,11 @@ def lowpass_filter_batch(
 def polyphase_resample_batch(
     samples: np.ndarray, input_rate_hz: float, output_rate_hz: float
 ) -> np.ndarray:
-    """Row-wise :func:`polyphase_resample` over a (batch, n) stack."""
+    """Row-wise :func:`polyphase_resample` over a (batch, n) stack.
+
+    ``resample_poly`` along ``axis=-1`` filters each row on its own, so
+    the scalar path delegates here with a single-row batch.
+    """
     if input_rate_hz <= 0 or output_rate_hz <= 0:
         raise ConfigurationError("sample rates must be positive")
     array = np.asarray(samples, dtype=np.complex128)

@@ -25,9 +25,7 @@ from repro.errors import (
 from repro.telemetry import get_telemetry
 from repro.utils.signal_ops import (
     Waveform,
-    lowpass_filter,
     lowpass_filter_batch,
-    polyphase_resample,
     polyphase_resample_batch,
 )
 from repro.zigbee.constants import (
@@ -206,29 +204,10 @@ class ZigBeeReceiver:
         Models the receiver's 2 MHz channel-select filter followed by
         decimation — e.g. a 20 Msps "air" capture becomes 4 Msps baseband.
         """
-        if abs(waveform.sample_rate_hz - self.sample_rate_hz) < 1e-6:
-            return waveform
-        if waveform.sample_rate_hz < self.sample_rate_hz:
-            raise ConfigurationError(
-                "input sample rate is below the receiver's native rate"
-            )
-        if self.config.decimation == "naive":
-            ratio = waveform.sample_rate_hz / self.sample_rate_hz
-            step = int(round(ratio))
-            if abs(ratio - step) > 1e-9:
-                raise ConfigurationError(
-                    "naive decimation needs an integer rate ratio"
-                )
-            return Waveform(waveform.samples[::step].copy(), self.sample_rate_hz)
-        filtered = lowpass_filter(
-            waveform.samples,
-            cutoff_hz=self.config.channel_filter_cutoff_hz,
-            sample_rate_hz=waveform.sample_rate_hz,
+        baseband = self._channelize_batch(
+            waveform.samples[np.newaxis, :], waveform.sample_rate_hz
         )
-        resampled = polyphase_resample(
-            filtered, waveform.sample_rate_hz, self.sample_rate_hz
-        )
-        return Waveform(resampled, self.sample_rate_hz)
+        return Waveform(baseband[0], self.sample_rate_hz)
 
     def demodulate_chips(
         self, waveform: Waveform, num_chips: Optional[int] = None,

@@ -16,6 +16,7 @@ scalar synchronization are bit-identical by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -103,10 +104,6 @@ class Synchronizer:
         """Length of the SHR correlation template in samples."""
         return int(self._template.size)
 
-    def _correlate(self, samples: np.ndarray) -> np.ndarray:
-        """Linear cross-correlation against the template (valid lags)."""
-        return self._correlate_batch(samples[np.newaxis, :])[0]
-
     def _correlate_batch(self, samples: np.ndarray) -> np.ndarray:
         """FFT cross-correlation of each row against the SHR template.
 
@@ -193,10 +190,18 @@ class Synchronizer:
 
         outcomes: List[Tuple[Optional[SyncResult], Optional[str]]] = []
         for row in range(batch):
-            if local_energy[row] <= 0.0:
+            energy = float(local_energy[row])
+            if energy <= 0.0:
                 outcomes.append((None, "received waveform has no energy"))
                 continue
             score = float(normalized[row])
+            if not (math.isfinite(score) and math.isfinite(energy)):
+                # One NaN or inf sample spreads over the whole FFT
+                # correlation; such a capture must not pass as a frame.
+                outcomes.append(
+                    (None, "no frame detected: non-finite correlation")
+                )
+                continue
             if score < self.detection_threshold:
                 outcomes.append(
                     (
@@ -218,14 +223,6 @@ class Synchronizer:
                 )
             )
         return outcomes
-
-    def _estimate_cfo(self, samples: np.ndarray, start: int) -> float:
-        """Two-halves phase-slope CFO estimate over the SHR."""
-        return float(
-            self._estimate_cfo_batch(
-                samples[np.newaxis, :], np.asarray([start])
-            )[0]
-        )
 
     def _estimate_cfo_batch(
         self, samples: np.ndarray, starts: np.ndarray

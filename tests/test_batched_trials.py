@@ -1,11 +1,12 @@
-"""Batched fast path == scalar oracle, bit for bit.
+"""The engine's batched calling convention, bit for bit.
 
-The tentpole guarantee of the batched Monte Carlo path: a trial declared
-with ``batch_trial`` produces rows bit-identical to its scalar
-counterpart at the same seed, for any worker count and chunk size, with
-and without the injected-fault drill.  These tests pin that contract at
-three levels: toy engine trials, the vectorized receive/detect kernels,
-and the full table2/table4/fig14 experiment drivers.
+A trial declared with ``batch_trial`` receives one RNG per row and
+returns one row per RNG; its rows must not depend on how the engine
+chunks them, on the worker count, or on the injected-fault drill (whose
+retries run single-row batches).  These tests pin that contract at
+three levels: toy engine trials against a plain-calling-convention
+trial, the vectorized receive/detect kernels, and the full
+table2/table4/fig14 experiment drivers.
 """
 
 import numpy as np
@@ -198,45 +199,33 @@ class TestKernelEquivalence:
 
 
 class TestExperimentBitIdentity:
-    """Batched drivers == scalar drivers, serial and parallel."""
+    """Driver rows are identical serial and parallel, at any chunking."""
 
     def test_table2_rows_identical(self):
         kwargs = {"snrs_db": (7, 17), "trials": 6, "rng": 5}
-        scalar = table2_attack_awgn.run(batch=False, **kwargs)
-        batched = table2_attack_awgn.run(batch=True, **kwargs)
-        assert scalar.rows == batched.rows
+        serial = table2_attack_awgn.run(**kwargs)
         for workers, chunk in ((2, 2), (2, 4)):
             parallel = table2_attack_awgn.run(
-                batch=True, workers=workers, chunk_size=chunk, **kwargs
+                workers=workers, chunk_size=chunk, **kwargs
             )
-            assert parallel.rows == scalar.rows
+            assert parallel.rows == serial.rows
 
     def test_table4_rows_identical(self):
         kwargs = {"snrs_db": (7,), "waveforms_per_point": 6, "rng": 2}
-        scalar = table4_de2_snr.run(batch=False, **kwargs)
-        batched = table4_de2_snr.run(batch=True, **kwargs)
-        assert scalar.rows == batched.rows
-        parallel = table4_de2_snr.run(
-            batch=True, workers=2, chunk_size=2, **kwargs
-        )
-        assert parallel.rows == scalar.rows
+        serial = table4_de2_snr.run(**kwargs)
+        parallel = table4_de2_snr.run(workers=2, chunk_size=2, **kwargs)
+        assert parallel.rows == serial.rows
 
     def test_fig14_rows_identical(self):
         kwargs = {"distances_m": (3,), "trials": 4, "rng": 8}
-        scalar = fig14_error_rates.run(batch=False, **kwargs)
-        batched = fig14_error_rates.run(batch=True, **kwargs)
-        assert scalar.rows == batched.rows
-        parallel = fig14_error_rates.run(
-            batch=True, workers=2, chunk_size=2, **kwargs
-        )
-        assert parallel.rows == scalar.rows
+        serial = fig14_error_rates.run(**kwargs)
+        parallel = fig14_error_rates.run(workers=2, chunk_size=2, **kwargs)
+        assert parallel.rows == serial.rows
 
     def test_table2_rows_identical_under_fault_drill(self, monkeypatch):
         kwargs = {"snrs_db": (17,), "trials": 6, "rng": 5}
-        reference = table2_attack_awgn.run(batch=True, **kwargs)
+        reference = table2_attack_awgn.run(**kwargs)
         monkeypatch.setenv(FAULT_EVERY_ENV, "3")
         engine_module._FAULTED_SEEDS.clear()
-        drilled = table2_attack_awgn.run(
-            batch=True, on_error="retry", **kwargs
-        )
+        drilled = table2_attack_awgn.run(on_error="retry", **kwargs)
         assert drilled.rows == reference.rows

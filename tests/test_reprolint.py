@@ -468,7 +468,6 @@ class TestR012NoDirectEngineWiring:
             "src/repro/experiments/engine.py",
             "src/repro/experiments/checkpoint.py",
             "src/repro/experiments/adaptive.py",
-            "src/repro/experiments/bench.py",
             "src/repro/experiments/__init__.py",
         ):
             assert codes(snippet, filename=home) == set()

@@ -1,4 +1,4 @@
-"""Tests for reprolint's project layer (R008, R011) and the R009 scope.
+"""Tests for reprolint's project layer (R011) and the R009 scope.
 
 Every fixture is a miniature on-disk project: a ``pyproject.toml`` root
 marker plus modules under ``src/repro/`` so role classification sees
@@ -15,28 +15,6 @@ from repro.analysis.cli import build_parser, execute
 from repro.analysis.runner import run_lint
 
 PYPROJECT = "[project]\nname = 'lintdemo'\n"
-
-# A scalar/batch kernel pair plus the test reference R008 wants; reused
-# as the innocent bystander in other rules' fixtures.
-CLEAN_KERNELS = """\
-import numpy as np
-
-
-def mix(samples):
-    return np.asarray(samples, dtype=np.complex128)
-
-
-def mix_batch(samples):
-    return np.asarray(samples, dtype=np.complex128)
-"""
-
-CLEAN_KERNEL_TEST = """\
-from repro.kernels import mix, mix_batch
-
-
-def test_mix_batch_matches_scalar():
-    assert mix_batch([1.0]) is not None and mix([1.0]) is not None
-"""
 
 
 def _write_project(root, files):
@@ -55,55 +33,6 @@ def _lint(root, **kwargs):
 
 def _codes(diagnostics):
     return sorted({diag.code for diag in diagnostics})
-
-
-class TestBatchScalarParity:
-    """R008: every batch kernel needs a scalar twin and a test anchor."""
-
-    def test_batch_without_scalar_counterpart_fails(self, tmp_path):
-        _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
-            "tests/test_kernels.py": (
-                "from repro.kernels import demodulate_batch\n\n\n"
-                "def test_batch():\n    assert demodulate_batch([]) == []\n"
-            ),
-        })
-        diagnostics = _lint(tmp_path, select=["R008"])
-        assert _codes(diagnostics) == ["R008"]
-        assert "scalar counterpart" in diagnostics[0].message
-
-    def test_batch_pair_without_test_reference_fails(self, tmp_path):
-        _write_project(tmp_path, {
-            "src/repro/kernels.py": CLEAN_KERNELS,
-            "tests/test_other.py": "def test_unrelated():\n    assert True\n",
-        })
-        diagnostics = _lint(tmp_path, select=["R008"])
-        assert _codes(diagnostics) == ["R008"]
-        assert "test" in diagnostics[0].message
-
-    def test_explicit_counterpart_attribute_resolves(self, tmp_path):
-        _write_project(tmp_path, {
-            "src/repro/kernels.py": (
-                "def decode(row):\n    return row\n\n\n"
-                "def fast_path_batch(rows):\n    return rows\n\n\n"
-                "fast_path_batch.scalar_counterpart = decode\n"
-            ),
-            "tests/test_kernels.py": (
-                "from repro.kernels import decode, fast_path_batch\n\n\n"
-                "def test_pair():\n"
-                "    assert fast_path_batch([1]) == [1] and decode(1) == 1\n"
-            ),
-        })
-        diagnostics = _lint(tmp_path, select=["R008"])
-        assert diagnostics == []
-
-    def test_tested_pair_passes(self, tmp_path):
-        _write_project(tmp_path, {
-            "src/repro/kernels.py": CLEAN_KERNELS,
-            "tests/test_kernels.py": CLEAN_KERNEL_TEST,
-        })
-        diagnostics = _lint(tmp_path, select=["R008"])
-        assert diagnostics == []
 
 
 class TestDtypePromotionHygiene:
@@ -213,24 +142,28 @@ class TestCrossModuleSuppression:
 
     def test_anchor_file_disable_suppresses_project_rule(self, tmp_path):
         _write_project(tmp_path, {
-            "src/repro/kernels.py": (
-                "def demodulate_batch(rows):"
-                "  # reprolint: disable=R008\n"
-                "    return rows\n"
+            "src/repro/engine.py": (
+                "def record(telemetry):\n"
+                "    telemetry.count('engine.trials')"
+                "  # reprolint: disable=R011\n"
+            ),
+            "docs/OBSERVABILITY.md": TestCounterCatalogue._catalogue(
+                "engine.retries"
             ),
         })
-        diagnostics = _lint(tmp_path, select=["R008"])
+        diagnostics = _lint(tmp_path, select=["R011"])
         assert diagnostics == []
 
     def test_disable_in_another_file_does_not_leak(self, tmp_path):
         _write_project(tmp_path, {
-            "src/repro/kernels.py": (
-                "def demodulate_batch(rows):\n    return rows\n"
+            "src/repro/engine.py": TestCounterCatalogue.CODE,
+            "src/repro/other.py": "# reprolint: disable=R011\n",
+            "docs/OBSERVABILITY.md": TestCounterCatalogue._catalogue(
+                "engine.retries"
             ),
-            "src/repro/other.py": "# reprolint: disable=R008\n",
         })
-        diagnostics = _lint(tmp_path, select=["R008"])
-        assert _codes(diagnostics) == ["R008"]
+        diagnostics = _lint(tmp_path, select=["R011"])
+        assert _codes(diagnostics) == ["R011"]
 
 
 class TestCliSurface:
@@ -247,7 +180,7 @@ class TestCliSurface:
 
     def test_unknown_ignore_code_exits_2(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("x = 1\n")
-        code = self._run([str(tmp_path), "--ignore", "R008,R999"])
+        code = self._run([str(tmp_path), "--ignore", "R011,R999"])
         assert code == 2
         assert "R999" in capsys.readouterr().err
 
@@ -255,18 +188,21 @@ class TestCliSurface:
         self, tmp_path, capsys
     ):
         _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
+            "src/repro/engine.py": TestCounterCatalogue.CODE,
+            "docs/OBSERVABILITY.md": TestCounterCatalogue._catalogue(
+                "engine.retries"
+            ),
         })
         code = self._run([
-            str(tmp_path / "src"), "--select", "R008",
+            str(tmp_path / "src"), "--select", "R011",
             "--format", "json",
         ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 3
         assert payload["summary"]["violations"] == len(payload["diagnostics"])
-        (diag,) = [d for d in payload["diagnostics"] if d["code"] == "R008"]
-        assert diag["path"].endswith("kernels.py")
+        (diag,) = [d for d in payload["diagnostics"] if d["code"] == "R011"]
+        assert diag["path"].endswith("engine.py")
         assert set(diag) >= {"path", "line", "column", "code", "message"}
         assert set(payload["summary"]) == {
             "files_checked", "violations", "by_code",

@@ -117,3 +117,48 @@ class TestAttackRobustness:
         except ConfigurationError:
             return
         assert np.isfinite(result.distance_squared)
+
+
+class TestNonFiniteInput:
+    """A NaN or inf sample fails closed instead of yielding a NaN row."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sync_rejects_a_non_finite_capture(self, bad, emulated_link):
+        from repro.hardware.usrp import gnuradio_simulation_receiver_config
+
+        receiver = ZigBeeReceiver(gnuradio_simulation_receiver_config())
+        clean = emulated_link.on_air.samples
+        broken = clean.copy()
+        broken[1000] = bad
+        with pytest.raises(SynchronizationError, match="no frame detected"):
+            receiver.receive(Waveform(broken, 20e6))
+        packets = receiver.receive_batch(np.stack([broken, clean]), 20e6)
+        assert packets[0] is None
+        assert packets[1] is not None and packets[1].fcs_ok
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_detector_rejects_non_finite_chips(self, bad):
+        from repro.defense.detector import CumulantDetector
+        from repro.errors import ConfigurationError
+
+        rng = np.random.default_rng(0)
+        chips = np.tile([1.0, -1.0], 64) + 0.1 * rng.standard_normal(128)
+        broken = chips.copy()
+        broken[10] = bad
+        detector = CumulantDetector()
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            detector.statistic(broken)
+        with pytest.raises(ConfigurationError, match="row 1 .*non-finite"):
+            detector.statistic_batch([chips, broken])
+
+    def test_detector_rejects_overflowing_chips(self):
+        from repro.defense.constellation import ConstellationOptions
+        from repro.defense.detector import CumulantDetector
+        from repro.errors import ConfigurationError
+
+        detector = CumulantDetector(
+            constellation_options=ConstellationOptions(normalize=False)
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConfigurationError, match="overflows"):
+                detector.statistic(np.tile([1e200, -1e200], 64))

@@ -107,11 +107,6 @@ class TestOracleParity:
         assert result.columns == baseline["columns"]
         assert result_cells(result, baseline["columns"]) == baseline["rows"]
 
-    def test_batch_toggle_is_bit_identical(self):
-        oracle = load_oracle("table2", "fixed")
-        scalar = run_from_oracle("table2", oracle, batch=False)
-        assert result_cells(scalar, oracle["columns"]) == oracle["rows"]
-
 
 SCENARIO = {
     "experiment": "table2",

@@ -16,30 +16,40 @@ training authentication literature (Xu et al., arXiv:1901.07897):
   naive Wald interval collapses;
 * **means** (D_E^2 distances, RSSI readings) converge by a Welford
   running mean/variance with a normal-approximation interval;
-* a point stops once its interval half-width reaches a target
-  *relative precision* (default 10 %) or a hard per-point cap, and
-  the trials it did not spend are **reallocated to points that did
-  not converge** — typically the ones straddling the paper's Q = 0.5
-  threshold, exactly where extra precision matters.
+* a point stops once its 95 % interval half-width reaches a target
+  *relative precision* (``--rel-precision``, default 10 %) or a hard
+  per-point cap (``--max-trials``), and the trials it did not spend
+  are **reallocated to points that did not converge** — typically the
+  ones straddling the paper's Q = 0.5 threshold, exactly where extra
+  precision matters.
 
-Trials execute in chunks through :meth:`EngineSession.run_until`, whose
-seed streams are drawn from the same parent generator the fixed-budget
-path uses — so the first ``n`` trials of an adaptive run are
-bit-identical to a fixed ``n``-trial run at the same seed, and the
-stopping decisions themselves are deterministic (they depend only on
-trial outcomes, never on the wall clock).
+Those two are the rule's only settings; the confidence level, the
+trial floor and the increment size are the module constants below.
 
-Usage, as the sweep drivers wire it::
+A fixed-budget sweep is the same loop with no rule
+(``AdaptiveSweep(session, None)``): the rule never fires and every
+point's cap is its budget, so each point runs its whole budget as one
+:meth:`EngineSession.run` call.  Adaptive points run in increments
+through :meth:`EngineSession.run_until`, whose seed streams are drawn
+from the same parent generator — so the first ``n`` trials of an
+adaptive run are bit-identical to a fixed ``n``-trial run at the same
+seed, and the stopping decisions themselves are deterministic (they
+depend only on trial outcomes, never on the wall clock).
 
-    sweep = AdaptiveSweep(session, base_trials=trials,
-                          config=AdaptiveConfig(rel_precision=0.1),
+Usage, as :func:`repro.experiments.sweep.run_sweep` wires it::
+
+    sweep = AdaptiveSweep(session, AdaptiveConfig(rel_precision=0.1),
                           experiment="table2")
-    state = sweep.point(trial_fn, rng=point_rng, static_args=(snr,),
-                        estimator=sweep.rate_estimator(),
-                        extract=lambda row: row[0], key="snr17")
-    ...                       # register every pending point (pass 1)
+    state = sweep.point(trial_fn, budget, RateEstimator(), rng=point_rng,
+                        static_args=(snr,), extract=lambda row: row[0],
+                        key="snr17")
+    ...                       # register every point (pass 1)
     sweep.settle()            # reallocate savings to stragglers (pass 2)
     outcome = state.outcome() # estimate, CI, trials_used, results
+
+A point is *final* — its outcome readable — once it converged or hit
+its cap, which can be before :meth:`AdaptiveSweep.settle`; every other
+point is final once ``settle`` has run.
 """
 
 from __future__ import annotations
@@ -57,45 +67,31 @@ from repro.utils.rng import RngLike
 #: Default target relative half-width of a point's confidence interval.
 DEFAULT_REL_PRECISION = 0.1
 
-#: Default two-sided confidence level for the intervals.
-DEFAULT_CONFIDENCE = 0.95
+#: Two-sided 95 % standard-normal quantile shared by every interval.
+#: The last digits are those of the bisection the sweeps have always
+#: used, so adaptive stopping points stay where they were.
+Z_95 = 1.9599639845401384
 
 #: Trials a point must execute before its interval is trusted at all —
 #: guards against a lucky first chunk stopping a point absurdly early.
-DEFAULT_MIN_TRIALS = 16
+MIN_TRIALS = 16
 
-#: Default hard cap, as a multiple of the point's base budget, on how
-#: far reallocation may grow an unconverged point.
+#: Smallest increment between interval checks; larger budgets step by
+#: an eighth of the budget so the batched fast path still amortizes
+#: its per-call overhead.
+INCREMENT_TRIALS = 8
+
+#: Default hard cap, as a multiple of the point's budget, on how far
+#: reallocation may grow an unconverged point.
 DEFAULT_MAX_TRIALS_FACTOR = 4
 
 
-def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF via bisection on ``math.erf``.
-
-    Exact enough (1e-12) for z-scores, with no SciPy dependency on the
-    hot path; called once per sweep, never per trial.
-    """
-    if not 0.0 < p < 1.0:
-        raise ConfigurationError("quantile probability must be in (0, 1)")
-
-    def cdf(x: float) -> float:
-        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-    low, high = -10.0, 10.0
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if cdf(mid) < p:
-            low = mid
-        else:
-            high = mid
-        if high - low < 1e-12:
-            break
-    return 0.5 * (low + high)
+def increment(budget: int) -> int:
+    """Trials per interval check for a point with budget ``budget``."""
+    return min(max(INCREMENT_TRIALS, budget // 8), budget)
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = 1.959963984540054
-) -> Tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
     Unlike the Wald interval it never collapses to zero width at
@@ -109,6 +105,7 @@ def wilson_interval(
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
+    z = Z_95
     z2 = z * z
     denominator = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denominator
@@ -138,8 +135,7 @@ class RateEstimator:
 
     kind = "rate"
 
-    def __init__(self, z: float = 1.959963984540054):
-        self.z = z
+    def __init__(self) -> None:
         self.successes = 0
         self.observations = 0
 
@@ -157,7 +153,7 @@ class RateEstimator:
 
     def interval(self) -> Tuple[float, float]:
         """The current Wilson confidence interval."""
-        return wilson_interval(self.successes, self.observations, self.z)
+        return wilson_interval(self.successes, self.observations)
 
     def half_width(self) -> float:
         """Half the current interval's width (inf while empty)."""
@@ -188,8 +184,7 @@ class MeanEstimator:
 
     kind = "mean"
 
-    def __init__(self, z: float = 1.959963984540054):
-        self.z = z
+    def __init__(self) -> None:
         self.count = 0
         self.mean = 0.0
         self._m2 = 0.0
@@ -222,7 +217,7 @@ class MeanEstimator:
         """Half-width of the normal-approximation interval."""
         if self.count < 2:
             return float("inf")
-        return self.z * math.sqrt(self.variance / self.count)
+        return Z_95 * math.sqrt(self.variance / self.count)
 
     def interval(self) -> Tuple[float, float]:
         """The current confidence interval around the running mean."""
@@ -243,75 +238,35 @@ class MeanEstimator:
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs of the adaptive allocator.
+    """The stopping rule's two settings.
 
     Attributes:
         rel_precision: target relative half-width of each point's
             confidence interval (``--rel-precision``, default 10 %).
-        confidence: two-sided confidence level of the intervals.
-        min_trials: floor before any stopping decision is trusted.
-        chunk_trials: trials per increment between interval checks;
-            ``None`` derives ``max(8, base // 8)`` per point so the
-            batched fast path still amortizes its per-call overhead.
         max_trials: hard per-point cap reallocation may grow a point
             to (``--max-trials``); ``None`` derives
-            ``DEFAULT_MAX_TRIALS_FACTOR * base``.
+            ``DEFAULT_MAX_TRIALS_FACTOR * budget``.
     """
 
     rel_precision: float = DEFAULT_REL_PRECISION
-    confidence: float = DEFAULT_CONFIDENCE
-    min_trials: int = DEFAULT_MIN_TRIALS
-    chunk_trials: Optional[int] = None
     max_trials: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_precision < 1.0:
             raise ConfigurationError("rel_precision must be in (0, 1)")
-        if not 0.5 < self.confidence < 1.0:
-            raise ConfigurationError("confidence must be in (0.5, 1)")
-        if self.min_trials < 1:
-            raise ConfigurationError("min_trials must be >= 1")
-        if self.chunk_trials is not None and self.chunk_trials < 1:
-            raise ConfigurationError("chunk_trials must be >= 1")
         if self.max_trials is not None and self.max_trials < 1:
             raise ConfigurationError("max_trials must be >= 1")
 
-    @property
-    def z(self) -> float:
-        """The normal quantile matching ``confidence``."""
-        return normal_quantile(0.5 + self.confidence / 2.0)
-
-    def resolve_chunk(self, base: int) -> int:
-        """Trials per increment for a point with base budget ``base``."""
-        if self.chunk_trials is not None:
-            return max(1, min(self.chunk_trials, max(base, 1)))
-        return max(1, min(max(8, base // 8), max(base, 1)))
-
-    def resolve_cap(self, base: int) -> int:
-        """The hard trial cap for a point with base budget ``base``."""
+    def resolve_cap(self, budget: int) -> int:
+        """The hard trial cap for a point with budget ``budget``."""
         if self.max_trials is not None:
-            return max(self.max_trials, base)
-        return DEFAULT_MAX_TRIALS_FACTOR * max(base, 1)
-
-    def fingerprint(self) -> Dict[str, Any]:
-        """The checkpoint-fingerprint fragment for adaptive sweeps.
-
-        Any knob that changes which trials run must split the
-        checkpoint namespace, or a resumed sweep could splice points
-        collected under different stopping rules.
-        """
-        return {
-            "rel_precision": self.rel_precision,
-            "confidence": self.confidence,
-            "min_trials": self.min_trials,
-            "chunk_trials": self.chunk_trials,
-            "max_trials": self.max_trials,
-        }
+            return max(self.max_trials, budget)
+        return DEFAULT_MAX_TRIALS_FACTOR * max(budget, 1)
 
 
 @dataclass
 class AdaptivePointOutcome:
-    """Everything a driver needs to build a settled point's row."""
+    """Everything a reducer needs to build a final point's row."""
 
     results: List[Any]
     trials_used: int
@@ -335,32 +290,53 @@ class AdaptivePointOutcome:
 
 @dataclass
 class AdaptivePointState:
-    """One adaptive sweep point: its open trial stream and estimator."""
+    """One sweep point: its results so far, estimator, and stop state.
+
+    ``stream`` is the open incremental trial stream of an adaptive
+    point; a fixed point runs in one call and has none.
+    """
 
     key: str
-    stream: IncrementalRun
     estimator: Any
     extract: Callable[[Any], Any]
     base: int
+    cap: int
+    stream: Optional[IncrementalRun] = None
+    results: List[Any] = field(default_factory=list)
     converged: bool = False
-    capped: bool = False
-    _settled: bool = field(default=False, repr=False)
+    settled: bool = False
+
+    @property
+    def trials(self) -> int:
+        """Trials executed so far."""
+        return len(self.results)
+
+    @property
+    def capped(self) -> bool:
+        """Whether the point ran to its cap without converging."""
+        return not self.converged and self.trials >= self.cap
+
+    @property
+    def final(self) -> bool:
+        """Whether no more trials can run: converged, capped, or settled."""
+        return self.converged or self.trials >= self.cap or self.settled
 
     def observe(self, rows: List[Any]) -> None:
-        """Fold freshly executed rows into the estimator."""
+        """Fold freshly executed rows into the results and estimator."""
+        self.results.extend(rows)
         self.estimator.add([self.extract(row) for row in rows])
 
     def outcome(self) -> AdaptivePointOutcome:
-        """The settled point's estimate, interval, and raw results."""
-        if not self._settled:
+        """The final point's estimate, interval, and raw results."""
+        if not self.final:
             raise ConfigurationError(
-                f"adaptive point {self.key!r} read before AdaptiveSweep."
-                f"settle(); register every point first, then settle"
+                f"adaptive point {self.key!r} read before it is final; "
+                f"register every point, then AdaptiveSweep.settle()"
             )
         low, high = self.estimator.interval()
         return AdaptivePointOutcome(
-            results=list(self.stream.results),
-            trials_used=self.stream.trials,
+            results=self.results,
+            trials_used=self.trials,
             converged=self.converged,
             capped=self.capped,
             estimate=self.estimator.estimate,
@@ -370,17 +346,21 @@ class AdaptivePointState:
 
 
 class AdaptiveSweep:
-    """Budget-reallocating adaptive executor over one sweep's points.
+    """Budget-reallocating executor over one sweep's points.
 
     Two passes:
 
-    1. :meth:`point` runs each registered point immediately, in chunks,
-       stopping at convergence or at the point's base budget — never
-       above it, so pass 1 can only *save* trials;
+    1. :meth:`point` runs each registered point immediately, in
+       increments, stopping at convergence or at the point's budget —
+       never above it, so pass 1 can only *save* trials;
     2. :meth:`settle` grants the saved trials to the points that did
-       not converge, chunk by chunk in registration order (deterministic
-       round-robin), until each converges, hits its hard cap, or the
-       pool runs dry.
+       not converge, increment by increment in registration order
+       (deterministic round-robin), until each converges, hits its hard
+       cap, or the pool runs dry.
+
+    With ``config=None`` the sweep is fixed-budget: no rule fires, each
+    point's cap is its budget, nothing is saved, and :meth:`settle`
+    reports nothing.
 
     The savings accounting is exact: ``trials_executed`` never exceeds
     ``trials_base`` (the fixed-budget total of the registered points),
@@ -389,38 +369,22 @@ class AdaptiveSweep:
 
     Args:
         session: an open :class:`EngineSession` the trials run on.
-        base_trials: default per-point budget (the fixed-budget
-            ``trials`` the sweep would otherwise spend).
-        config: stopping-rule knobs; defaults throughout.
+        config: the stopping rule, or ``None`` for a fixed budget.
         experiment: experiment id stamped on ``point_converged`` events.
     """
 
     def __init__(
         self,
         session: EngineSession,
-        base_trials: int,
-        config: Optional[AdaptiveConfig] = None,
+        config: Optional[AdaptiveConfig],
         experiment: str = "sweep",
     ):
-        if base_trials < 1:
-            raise ConfigurationError("base_trials must be >= 1")
         self._session = session
         self._experiment = experiment
-        self.config = config or AdaptiveConfig()
-        self.base_trials = int(base_trials)
+        self.config = config
         self.saved = 0
         self._points: List[AdaptivePointState] = []
         self._settled = False
-
-    # -- estimator factories ------------------------------------------
-
-    def rate_estimator(self) -> RateEstimator:
-        """A Wilson-interval rate tracker at this sweep's confidence."""
-        return RateEstimator(z=self.config.z)
-
-    def mean_estimator(self) -> MeanEstimator:
-        """A Welford mean tracker at this sweep's confidence."""
-        return MeanEstimator(z=self.config.z)
 
     # -- accounting ----------------------------------------------------
 
@@ -432,7 +396,7 @@ class AdaptiveSweep:
     @property
     def trials_executed(self) -> int:
         """Trials actually executed across every registered point."""
-        return sum(state.stream.trials for state in self._points)
+        return sum(state.trials for state in self._points)
 
     @property
     def trials_saved(self) -> int:
@@ -444,123 +408,114 @@ class AdaptiveSweep:
     def point(
         self,
         trial: TrialFn,
+        budget: int,
+        estimator: Any,
         rng: RngLike = None,
         static_args: Tuple[Any, ...] = (),
-        estimator: Any = None,
         extract: Callable[[Any], Any] = lambda row: row,
         key: str = "",
-        base: Optional[int] = None,
     ) -> AdaptivePointState:
-        """Register and run one sweep point up to its base budget.
+        """Register and run one sweep point up to its budget.
 
         Args:
             trial: the engine trial function (scalar or batched).
-            rng: the point's stream source — the same one the
-                fixed-budget driver hands ``session.run``, so the
-                executed prefix stays bit-identical.
-            static_args: per-point parameters passed to every trial.
+            budget: the point's trial budget — all of it in fixed mode,
+                the pass-1 ceiling in adaptive mode.
             estimator: a :class:`RateEstimator` or
-                :class:`MeanEstimator` (default: mean).
+                :class:`MeanEstimator`.
+            rng: the point's stream source; the executed trials are a
+                prefix of a fixed ``session.run`` on it.
+            static_args: per-point parameters passed to every trial.
             extract: maps one raw trial result to the estimator's
                 observation (rate: truthy/falsy; mean: float or
                 ``None`` to skip).
             key: point label for events and error messages.
-            base: per-point budget override (default: the sweep's
-                ``base_trials``).
         """
         if self._settled:
             raise ConfigurationError(
                 "AdaptiveSweep.settle() already ran; open a new sweep"
             )
-        budget = self.base_trials if base is None else int(base)
-        if budget < 1:
-            raise ConfigurationError("point budget must be >= 1")
+        config = self.config
+        if config is not None and budget < 1:
+            raise ConfigurationError("adaptive point budget must be >= 1")
         state = AdaptivePointState(
-            key=key,
-            stream=self._session.run_until(trial, rng, static_args),
-            estimator=estimator if estimator is not None
-            else self.mean_estimator(),
-            extract=extract,
-            base=budget,
+            key=key, estimator=estimator, extract=extract, base=budget,
+            cap=budget if config is None else config.resolve_cap(budget),
         )
-        chunk = self.config.resolve_chunk(budget)
-        while state.stream.trials < budget:
-            step = min(chunk, budget - state.stream.trials)
-            state.observe(state.stream.extend(step))
+        self._points.append(state)
+        if config is None:
+            state.observe(self._session.run(
+                trial, budget, rng=rng, static_args=static_args
+            ))
+            return state
+        state.stream = self._session.run_until(trial, rng, static_args)
+        step = increment(budget)
+        while state.trials < budget:
+            state.observe(
+                state.stream.extend(min(step, budget - state.trials))
+            )
             if (
-                state.stream.trials >= min(self.config.min_trials, budget)
-                and state.estimator.converged(self.config.rel_precision)
+                state.trials >= min(MIN_TRIALS, budget)
+                and state.estimator.converged(config.rel_precision)
             ):
                 state.converged = True
                 break
-        self.saved += budget - state.stream.trials
-        self._points.append(state)
+        self.saved += budget - state.trials
         return state
 
     # -- pass 2: reallocation ------------------------------------------
 
     def settle(self) -> None:
-        """Spend the saved trials on unconverged points, then account.
+        """Spend the saved trials on unfinished points, then account.
 
-        Grants go chunk by chunk in registration order so every pass is
-        deterministic; a point leaves the rotation when it converges,
-        reaches its hard cap, or the pool empties.  Afterwards each
-        point's stats land on the telemetry plane: one
-        ``point_converged`` event per point plus the sweep-level
-        ``engine.trials_saved`` / ``engine.points_capped`` counters.
+        Grants go increment by increment in registration order so every
+        pass is deterministic; a point leaves the rotation when it
+        converges, reaches its hard cap, or the pool empties.
+        Afterwards every point is final and, in adaptive mode, its
+        stats land on the telemetry plane: one ``point_converged``
+        event per point plus the sweep-level ``engine.trials_saved`` /
+        ``engine.points_capped`` counters.
         """
         if self._settled:
             return
-        pending = [state for state in self._points if not state.converged]
+        self._settled = True
+        pending = [state for state in self._points if not state.final]
         while pending and self.saved > 0:
-            progressed = False
             for state in list(pending):
-                cap = self.config.resolve_cap(state.base)
-                if state.stream.trials >= cap:
-                    state.capped = True
-                    pending.remove(state)
-                    continue
                 step = min(
-                    self.config.resolve_chunk(state.base),
-                    cap - state.stream.trials,
+                    increment(state.base), state.cap - state.trials,
                     self.saved,
                 )
-                if step <= 0:
-                    continue
                 state.observe(state.stream.extend(step))
                 self.saved -= step
-                progressed = True
                 if state.estimator.converged(self.config.rel_precision):
                     state.converged = True
+                if state.final:
                     pending.remove(state)
                 if self.saved <= 0:
                     break
-            if not progressed:
-                break
-        for state in pending:
-            if state.stream.trials >= self.config.resolve_cap(state.base):
-                state.capped = True
-        self._settled = True
-        telemetry = get_telemetry()
-        stream = get_event_stream()
-        capped_points = 0
         for state in self._points:
-            state._settled = True
-            if not state.converged:
-                capped_points += 1
+            state.settled = True
+        if self.config is None:
+            return
+        stream = get_event_stream()
+        for state in self._points:
             low, high = state.estimator.interval()
             stream.point_converged(
                 self._experiment,
                 state.key,
-                trials_used=state.stream.trials,
-                trials_saved=state.base - state.stream.trials,
+                trials_used=state.trials,
+                trials_saved=state.base - state.trials,
                 converged=state.converged,
+                capped=state.capped,
                 estimate=_json_float(state.estimator.estimate),
                 ci_low=_json_float(low),
                 ci_high=_json_float(high),
             )
+        telemetry = get_telemetry()
         if self.trials_saved > 0:
             telemetry.count("engine.trials_saved", self.trials_saved)
+        capped_points = sum(state.capped for state in self._points)
         if capped_points:
             telemetry.count("engine.points_capped", capped_points)
 

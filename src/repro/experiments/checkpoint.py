@@ -15,10 +15,11 @@ straight to the first incomplete point::
     ...
     store.save("snr7", row)               # atomic: old file or new file
 
-A ``meta.json`` records the sweep's *fingerprint* — the seed and the
-parameters that shape the rows.  Resuming against a directory whose
-fingerprint differs raises :class:`~repro.errors.ConfigurationError`
-instead of silently splicing rows from two different campaigns; opening
+A ``meta.json`` records the on-disk format version and the sweep's
+*fingerprint* — the seed and the parameters that shape the rows.
+Resuming against a directory whose version or fingerprint differs
+raises :class:`~repro.errors.ConfigurationError` instead of silently
+splicing rows from two different campaigns; opening
 without ``resume`` invalidates any stale points first.  Resumed points
 bump the ``engine.points_resumed`` telemetry counter so ``--telemetry``
 output accounts for how much of a run was recovered rather than
@@ -29,7 +30,9 @@ Python floats serialize via ``repr`` and parse back bit-identical (NaN
 included), so a resumed sweep reproduces the rows a fresh run at the
 same seed produces.  Resume keys on the fingerprint, so it is only
 meaningful when ``rng`` was an integer seed — a live ``Generator``
-cannot be re-anchored across processes.
+cannot be re-anchored across processes, and
+:func:`~repro.experiments.sweep.run_sweep` refuses to resume without
+one.
 """
 
 from __future__ import annotations
@@ -44,8 +47,11 @@ from repro.telemetry import get_telemetry
 from repro.telemetry.events import get_event_stream
 from repro.utils.io import atomic_write_json, read_json
 
-#: Bumped when the on-disk layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Bumped when the on-disk layout changes incompatibly; a resume
+#: against another version is refused.  Version 2: sweeps save
+#: ``{"payload", "trials_used"}`` per unit, and stream-unit payloads
+#: are ``{"values": ..., <stats>}`` dicts in fixed mode too.
+CHECKPOINT_FORMAT_VERSION = 2
 
 _META_FILENAME = "meta.json"
 _POINT_PREFIX = "point_"
@@ -89,6 +95,14 @@ class CheckpointStore:
         meta_path = self._directory / _META_FILENAME
         if self._resume and meta_path.exists():
             meta = read_json(meta_path)
+            version = meta.get("format_version")
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise ConfigurationError(
+                    f"checkpoint directory {self._directory} holds format "
+                    f"version {version!r}, this build reads version "
+                    f"{CHECKPOINT_FORMAT_VERSION}; point it elsewhere or "
+                    f"drop --resume to start fresh"
+                )
             stored = _normalized(meta.get("fingerprint"))
             if stored != self._fingerprint:
                 raise ConfigurationError(

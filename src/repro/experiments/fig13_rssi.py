@@ -112,11 +112,8 @@ def _reduce_point(reduction: PointReduction) -> Dict[str, Any]:
     meta = reduction.point.meta
     key = reduction.point.key
     estimator = RssiEstimator(reference_dbm=0.0)
-    if reduction.adaptive:
-        outcome = reduction.outcomes[key]
-        readings = [r for r in outcome.results if r is not None]
-    else:
-        readings = [r for r in reduction.results[key] if r is not None]
+    outcome = reduction.outcomes[key]
+    readings = [r for r in outcome.results if r is not None]
     row = {
         "distance_m": meta["distance_m"],
         "budget_rssi_dbm": estimator.estimate_from_power_dbm(

@@ -168,14 +168,10 @@ def _reduce_point(reduction: PointReduction) -> Dict[str, Any]:
     distance = meta["distance_m"]
     label = meta["waveform"]
     key = reduction.point.key
-    if reduction.adaptive:
-        outcome = reduction.outcomes[key]
-        cell_outcomes = outcome.results
-    else:
-        cell_outcomes = reduction.results[key]
+    outcome = reduction.outcomes[key]
     accumulator = ErrorRateAccumulator()
     truth = reduction.context[label].sent.symbols[12:]
-    for cell_outcome in cell_outcomes:
+    for cell_outcome in outcome.results:
         if cell_outcome is None:
             accumulator.record_lost(truth.size)
             continue

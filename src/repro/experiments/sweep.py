@@ -14,10 +14,16 @@ plan, context factory, fingerprint, row reduction) and
 * seed-stream discipline: ``spawn_rngs`` slots are allocated by the
   plan so serial == parallel == the adaptive prefix at the same seed,
   and the context is built *after* the streams are spawned;
-* checkpointing: per-point or per-stream units with resume
-  fingerprinting (seed, axis, budgets, adaptive config, scenario);
-* adaptive sampling: streams declare ``rate``/``mean`` metrics and the
-  runner drives the two-pass :class:`AdaptiveSweep` protocol;
+* one loop over checkpoint units — a point (``checkpoint_unit=
+  "point"``, payload: its row) or a single stream (``"stream"``,
+  payload: its values and stats) — with resume fingerprinting (seed,
+  axis, budgets, adaptive settings, scenario);
+* sampling: every stream runs through one :class:`AdaptiveSweep`.  A
+  fixed run is an adaptive run whose stopping rule never fires and
+  whose cap is the budget, so each stream spends its budget in one
+  engine call; adaptive streams declare ``rate``/``mean`` metrics and
+  stop early.  Reducers see one outcome type in both modes, and a unit
+  is saved as soon as all its streams are final;
 * telemetry: ``declare_trials`` ETA accounting, ``point_started`` /
   ``point_finished`` / ``point_converged`` events.
 
@@ -32,7 +38,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import asdict, dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -60,6 +67,8 @@ from repro.experiments.adaptive import (
     AdaptivePointOutcome,
     AdaptivePointState,
     AdaptiveSweep,
+    MeanEstimator,
+    RateEstimator,
 )
 from repro.experiments.checkpoint import open_checkpoint_store
 from repro.experiments.common import ExperimentResult
@@ -159,16 +168,18 @@ class SweepPlan:
 
 @dataclass
 class PointReduction:
-    """Everything a point-unit reducer needs to build one row."""
+    """Everything a point-unit reducer needs to build one row.
+
+    ``adaptive`` only chooses the adaptive-only columns; the outcomes
+    have one shape in both modes.
+    """
 
     config: Mapping[str, Any]
     point: PointSpec
     adaptive: bool
     #: the engine context (prepared links, receivers, environment).
     context: Mapping[str, Any] = field(default_factory=dict)
-    #: fixed mode — raw engine results per stream key.
-    results: Dict[str, List[Any]] = field(default_factory=dict)
-    #: adaptive mode — settled outcomes per stream key.
+    #: final outcomes (raw results, estimate, interval) per stream key.
     outcomes: Dict[str, AdaptivePointOutcome] = field(default_factory=dict)
 
 
@@ -176,11 +187,11 @@ class PointReduction:
 class SweepReduction:
     """Everything a stream-unit reducer needs to build all rows.
 
-    ``payloads`` maps every stream key to a JSON-friendly dict with at
-    least ``"values"`` (the extracted non-``None`` observations, in
-    trial order); adaptive payloads additionally carry the settled
-    stats (``trials_used``/``converged``/``capped``/``estimate``/
-    ``ci_low``/``ci_high``, NaN encoded as ``None``).
+    ``payloads`` maps every stream key to a JSON-friendly dict, in both
+    modes: ``"values"`` (the extracted non-``None`` observations, in
+    trial order) plus the final stats (``trials_used``/``converged``/
+    ``capped``/``estimate``/``ci_low``/``ci_high``, NaN encoded as
+    ``None``).
     """
 
     config: Mapping[str, Any]
@@ -219,7 +230,8 @@ class SweepSpec:
             subcarriers) never perturbs the per-trial noise streams.
         columns: ``(config, adaptive)`` -> result columns.
         checkpoint_unit: ``"point"`` (one payload per point: the row)
-            or ``"stream"`` (one payload per stream: the value list).
+            or ``"stream"`` (one payload per stream: its values and
+            stats).
         reduce_point: point-unit reducer -> row dict.
         build_rows: stream-unit reducer (fills ``reduction.result``).
         detector: optional defense-screening hook; its return value is
@@ -554,35 +566,45 @@ def standalone_session(context: Dict[str, Any]) -> EngineSession:
     return MonteCarloEngine().session(context)
 
 
-def _settled_payload(
-    state: AdaptivePointState, extract: Callable[[Any], Any]
+def _stream_payload(
+    outcome: AdaptivePointOutcome, extract: Callable[[Any], Any]
 ) -> Dict[str, Any]:
-    """One settled adaptive stream as a JSON-friendly checkpoint payload."""
-    outcome = state.outcome()
-    summary = {
-        name: (
-            None
-            if isinstance(value, float) and math.isnan(value)
-            else value
-        )
-        for name, value in outcome.summary().items()
-    }
-    values = [extract(result) for result in outcome.results]
+    """One final stream as a JSON-friendly checkpoint payload."""
+    values = (extract(result) for result in outcome.results)
     return {
         "values": [value for value in values if value is not None],
-        **summary,
+        **{
+            name: (
+                None
+                if isinstance(value, float) and math.isnan(value)
+                else value
+            )
+            for name, value in outcome.summary().items()
+        },
     }
 
 
-def _make_estimator(sweep: AdaptiveSweep, stream_spec: StreamSpec) -> Any:
+def _make_estimator(stream_spec: StreamSpec) -> Any:
     if stream_spec.kind == "rate":
-        return sweep.rate_estimator()
+        return RateEstimator()
     if stream_spec.kind == "mean":
-        return sweep.mean_estimator()
+        return MeanEstimator()
     raise ConfigurationError(
         f"unknown stream kind {stream_spec.kind!r} for "
         f"{stream_spec.key!r}; expected 'rate' or 'mean'"
     )
+
+
+def _integer_seed(rng: RngLike) -> Optional[int]:
+    """The integer seed ``rng`` stands for; ``None`` for anything else."""
+    try:
+        return operator.index(rng)
+    except TypeError:
+        return None
+
+
+#: The reducer each checkpoint unit needs.
+_UNIT_REDUCERS = {"point": "reduce_point", "stream": "build_rows"}
 
 
 def run_sweep(
@@ -610,7 +632,8 @@ def run_sweep(
         on_error: trial-failure policy (``raise``/``retry``/``skip``).
         checkpoint_dir: persist each completed unit atomically.
         resume: serve completed units from ``checkpoint_dir`` (requires
-            a matching fingerprint: same seed, axis, budgets, scenario).
+            an integer seed and a matching fingerprint: same seed, axis,
+            budgets, scenario).
         adaptive: stop each stream once its declared estimator reaches
             the target relative CI half-width, reallocating saved
             trials to unconverged streams.
@@ -618,19 +641,36 @@ def run_sweep(
         max_trials: adaptive hard per-stream cap (default 4x budget).
     """
     config = spec.resolve_config(overrides)
+    reducer = _UNIT_REDUCERS.get(spec.checkpoint_unit)
+    if reducer is None:
+        raise ConfigurationError(
+            f"unknown checkpoint unit {spec.checkpoint_unit!r}; expected "
+            f"'point' or 'stream'"
+        )
+    if getattr(spec, reducer) is None:
+        raise ConfigurationError(
+            f"{spec.experiment_id!r} declares checkpoint_unit="
+            f"{spec.checkpoint_unit!r} but no {reducer}"
+        )
+    seed = _integer_seed(rng)
+    if resume and seed is None:
+        raise ConfigurationError(
+            "resume needs an integer seed: checkpoints are keyed by the "
+            "seed, so a resume without one could splice another run's points"
+        )
     adaptive_config = (
         AdaptiveConfig(rel_precision=rel_precision, max_trials=max_trials)
         if adaptive else None
     )
-    fingerprint: Dict[str, Any] = {
-        "seed": rng if isinstance(rng, int) else None,
-    }
+    fingerprint: Dict[str, Any] = {"seed": seed}
     fingerprint.update(spec.fingerprint(config))
     scenario = scenario_fragment(config)
     if scenario:
         fingerprint["scenario"] = scenario
     if adaptive_config is not None:
-        fingerprint["adaptive"] = adaptive_config.fingerprint()
+        # Either setting changes which trials run, so it splits the
+        # checkpoint namespace: a resume never splices two rules' points.
+        fingerprint["adaptive"] = asdict(adaptive_config)
     store = open_checkpoint_store(
         checkpoint_dir, spec.experiment_id,
         fingerprint=fingerprint, resume=resume,
@@ -651,208 +691,113 @@ def run_sweep(
     engine = MonteCarloEngine(
         workers=workers, chunk_size=chunk_size, on_error=on_error
     )
-    stream = get_event_stream()
     if spec.checkpoint_unit == "point":
-        _run_point_unit(
-            spec, config, plan, rngs, context, engine, store, stream,
-            result, adaptive_config,
-        )
-    elif spec.checkpoint_unit == "stream":
-        _run_stream_unit(
-            spec, config, plan, rngs, context, engine, store, stream,
-            result, adaptive_config,
-        )
+        units = list(plan.points)
     else:
-        raise ConfigurationError(
-            f"unknown checkpoint unit {spec.checkpoint_unit!r}; expected "
-            f"'point' or 'stream'"
-        )
+        units = [
+            PointSpec(key=s.key, streams=(s,), started_trials=s.budget)
+            for point in plan.points for s in point.streams
+        ]
+    payloads = _run_units(
+        spec, config, units, rngs, context, engine, store, adaptive_config
+    )
+    if spec.checkpoint_unit == "point":
+        for point in plan.points:
+            result.add_row(**payloads[point.key])
+    else:
+        spec.build_rows(SweepReduction(
+            config=config, plan=plan, adaptive=adaptive_config is not None,
+            payloads=payloads, result=result,
+        ))
     if spec.notes is not None:
         result.notes.extend(spec.notes(config))
     return result
 
 
-def _sweep_base(plan: SweepPlan) -> int:
-    """The adaptive sweep's base budget (per-stream budgets override it)."""
-    return max(
-        (s.budget for point in plan.points for s in point.streams), default=1
-    )
-
-
-def _run_point_unit(
+def _run_units(
     spec: SweepSpec,
     config: Mapping[str, Any],
-    plan: SweepPlan,
+    units: Sequence[PointSpec],
     rngs: Sequence[np.random.Generator],
     context: Dict[str, Any],
     engine: MonteCarloEngine,
     store: Any,
-    stream: Any,
-    result: ExperimentResult,
     adaptive_config: Optional[AdaptiveConfig],
-) -> None:
-    """Point-unit sweeps: one checkpoint payload per point — its row."""
-    if spec.reduce_point is None:
-        raise ConfigurationError(
-            f"{spec.experiment_id!r} declares checkpoint_unit='point' but "
-            f"no reduce_point"
-        )
-    pending = [
-        point for point in plan.points
-        if store is None or not store.completed(point.key)
-    ]
-    stream.declare_trials(
-        sum(s.budget for point in pending for s in point.streams)
-    )
-    with engine.session(context) as session:
-        if adaptive_config is not None:
-            sweep = AdaptiveSweep(
-                session, _sweep_base(plan), config=adaptive_config,
-                experiment=spec.experiment_id,
-            )
-            states: Dict[str, Dict[str, AdaptivePointState]] = {}
-            for point in pending:
-                stream.point_started(
-                    spec.experiment_id, point.key,
-                    trials=point.started_trials,
-                )
-                states[point.key] = {
-                    s.key: sweep.point(
-                        s.resolve_trial(True), rng=rngs[s.rng_slot],
-                        static_args=s.static_args,
-                        estimator=_make_estimator(sweep, s),
-                        extract=s.extract, key=s.key, base=s.budget,
-                    )
-                    for s in point.streams
-                }
-            sweep.settle()
-            for point in plan.points:
-                cached = store.get(point.key) if store is not None else None
-                if cached is not None:
-                    result.add_row(**cached)
-                    continue
-                row = spec.reduce_point(PointReduction(
-                    config=config, point=point, adaptive=True,
-                    context=context,
-                    outcomes={
-                        key: state.outcome()
-                        for key, state in states[point.key].items()
-                    },
-                ))
-                if store is not None:
-                    store.save(point.key, row)
-                result.add_row(**row)
-                stream.point_finished(spec.experiment_id, point.key,
-                                      rows_so_far=len(result.rows))
-        else:
-            for point in plan.points:
-                cached = store.get(point.key) if store is not None else None
-                if cached is not None:
-                    result.add_row(**cached)
-                    continue
-                stream.point_started(
-                    spec.experiment_id, point.key,
-                    trials=point.started_trials,
-                )
-                results = {
-                    s.key: session.run(
-                        s.resolve_trial(True), s.budget,
-                        rng=rngs[s.rng_slot], static_args=s.static_args,
-                    )
-                    for s in point.streams
-                }
-                row = spec.reduce_point(PointReduction(
-                    config=config, point=point, adaptive=False,
-                    context=context, results=results,
-                ))
-                if store is not None:
-                    store.save(point.key, row)
-                result.add_row(**row)
-                stream.point_finished(spec.experiment_id, point.key,
-                                      rows_so_far=len(result.rows))
+) -> Dict[str, Any]:
+    """Run every unit not served from ``store``; payloads by unit key.
 
-
-def _run_stream_unit(
-    spec: SweepSpec,
-    config: Mapping[str, Any],
-    plan: SweepPlan,
-    rngs: Sequence[np.random.Generator],
-    context: Dict[str, Any],
-    engine: MonteCarloEngine,
-    store: Any,
-    stream: Any,
-    result: ExperimentResult,
-    adaptive_config: Optional[AdaptiveConfig],
-) -> None:
-    """Stream-unit sweeps: one payload per stream — its value list.
-
-    Rows are cheap global reductions (means, calibrated thresholds)
-    recomputed from the (possibly resumed) payloads every run by the
-    spec's ``build_rows``.
+    A unit is a point (its payload is its row) or a single stream (its
+    payload is its extracted values plus stats).  Every stream runs
+    through one :class:`AdaptiveSweep`; without an adaptive config its
+    rule never fires and each stream spends exactly its budget.  A unit
+    is reduced, checkpointed and announced as soon as all its streams
+    are final — at once in fixed mode, on convergence or after
+    ``settle`` in adaptive mode — so a killed sweep loses only the
+    units still in flight.  Each checkpoint records the unit's payload
+    and the trials it used, so a resume credits a finished unit's
+    savings to the adaptive pool exactly as the first run did.
     """
-    if spec.build_rows is None:
-        raise ConfigurationError(
-            f"{spec.experiment_id!r} declares checkpoint_unit='stream' but "
-            f"no build_rows"
-        )
-    streams = [s for point in plan.points for s in point.streams]
-    pending = [
-        s for s in streams
-        if store is None or not store.completed(s.key)
-    ]
-    stream.declare_trials(sum(s.budget for s in pending))
-    payloads: Dict[str, Dict[str, Any]] = {}
-    with engine.session(context) as session:
-        if adaptive_config is not None:
-            sweep = AdaptiveSweep(
-                session, _sweep_base(plan), config=adaptive_config,
-                experiment=spec.experiment_id,
-            )
-            states: Dict[str, AdaptivePointState] = {}
-            for s in pending:
-                stream.point_started(spec.experiment_id, s.key,
-                                     trials=s.budget)
-                states[s.key] = sweep.point(
-                    s.resolve_trial(True), rng=rngs[s.rng_slot],
-                    static_args=s.static_args,
-                    estimator=_make_estimator(sweep, s),
-                    extract=s.extract, key=s.key, base=s.budget,
-                )
-            sweep.settle()
-            for s in streams:
-                payload = store.get(s.key) if store is not None else None
-                if payload is None:
-                    payload = _settled_payload(states[s.key], s.extract)
-                    if store is not None:
-                        store.save(s.key, payload)
-                    stream.point_finished(spec.experiment_id, s.key,
-                                          rows_so_far=len(result.rows))
-                payloads[s.key] = payload
-        else:
-            for s in streams:
-                cached = store.get(s.key) if store is not None else None
-                if cached is not None:
-                    payloads[s.key] = {
-                        "values": [float(value) for value in cached]
-                    }
-                    continue
-                stream.point_started(spec.experiment_id, s.key,
-                                     trials=s.budget)
-                raw = session.run(
-                    s.resolve_trial(True), s.budget,
-                    rng=rngs[s.rng_slot], static_args=s.static_args,
-                )
-                values = [
-                    value
-                    for value in (s.extract(item) for item in raw)
-                    if value is not None
-                ]
-                if store is not None:
-                    store.save(s.key, values)
-                stream.point_finished(spec.experiment_id, s.key,
-                                      rows_so_far=len(values))
-                payloads[s.key] = {"values": values}
-    spec.build_rows(SweepReduction(
-        config=config, plan=plan, adaptive=adaptive_config is not None,
-        payloads=payloads, result=result,
+    events = get_event_stream()
+    events.declare_trials(sum(
+        s.budget for unit in units
+        if store is None or not store.completed(unit.key)
+        for s in unit.streams
     ))
+    payloads: Dict[str, Any] = {}
+    states: Dict[str, List[AdaptivePointState]] = {}
+
+    def finish(unit: PointSpec) -> None:
+        outcomes = {
+            s.key: state.outcome()
+            for s, state in zip(unit.streams, states[unit.key])
+        }
+        if spec.checkpoint_unit == "point":
+            payload = spec.reduce_point(PointReduction(
+                config=config, point=unit,
+                adaptive=adaptive_config is not None,
+                context=context, outcomes=outcomes,
+            ))
+        else:
+            (s,) = unit.streams
+            payload = _stream_payload(outcomes[s.key], s.extract)
+        if store is not None:
+            store.save(unit.key, {
+                "payload": payload,
+                "trials_used": sum(state.trials for state in states[unit.key]),
+            })
+        payloads[unit.key] = payload
+        events.point_finished(spec.experiment_id, unit.key,
+                              rows_so_far=len(payloads))
+
+    with engine.session(context) as session:
+        sweep = AdaptiveSweep(
+            session, adaptive_config, experiment=spec.experiment_id
+        )
+        for unit in units:
+            cached = store.get(unit.key) if store is not None else None
+            if cached is not None:
+                payloads[unit.key] = cached["payload"]
+                # The unit's unspent budget joins the reallocation pool
+                # as it did in the interrupted run, so the stragglers
+                # get the same grants they would have got.
+                sweep.saved += (
+                    sum(s.budget for s in unit.streams) - cached["trials_used"]
+                )
+                continue
+            events.point_started(spec.experiment_id, unit.key,
+                                 trials=unit.started_trials)
+            states[unit.key] = [
+                sweep.point(
+                    s.resolve_trial(True), s.budget, _make_estimator(s),
+                    rng=rngs[s.rng_slot], static_args=s.static_args,
+                    extract=s.extract, key=s.key,
+                )
+                for s in unit.streams
+            ]
+            if all(state.final for state in states[unit.key]):
+                finish(unit)
+        sweep.settle()
+        for unit in units:
+            if unit.key not in payloads:
+                finish(unit)
+    return payloads

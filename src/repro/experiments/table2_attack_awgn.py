@@ -172,18 +172,12 @@ def _columns(config: Mapping[str, Any], adaptive: bool) -> List[str]:
 def _reduce_point(reduction: PointReduction) -> Dict[str, Any]:
     config = reduction.config
     snr = reduction.point.meta["snr_db"]
-    trials = config["trials"]
     key = reduction.point.key
-    if reduction.adaptive:
-        outcome = reduction.outcomes[key]
-        outcomes = [o for o in outcome.results if o is not None]
-        success_rate = outcome.estimate
-    else:
-        outcomes = [o for o in reduction.results[key] if o is not None]
-        success_rate = sum(d for d, _, _ in outcomes) / trials
+    outcome = reduction.outcomes[key]
+    outcomes = [o for o in outcome.results if o is not None]
     row: Dict[str, Any] = {
         "snr_db": snr,
-        "success_rate": success_rate,
+        "success_rate": outcome.estimate,
         "paper_success_rate": PAPER_SUCCESS_RATES.get(int(snr), float("nan")),
     }
     if config["screen_defense"]:
@@ -193,16 +187,9 @@ def _reduce_point(reduction: PointReduction) -> Dict[str, Any]:
             detections / screened if screened else float("nan")
         )
     if config["include_authentic"]:
-        authentic_key = f"{key}.authentic"
-        if reduction.adaptive:
-            row["authentic_success_rate"] = (
-                reduction.outcomes[authentic_key].estimate
-            )
-        else:
-            delivered = reduction.results[authentic_key]
-            row["authentic_success_rate"] = (
-                sum(d for d in delivered if d is not None) / trials
-            )
+        row["authentic_success_rate"] = (
+            reduction.outcomes[f"{key}.authentic"].estimate
+        )
     if reduction.adaptive:
         row.update(
             trials_used=outcome.trials_used,

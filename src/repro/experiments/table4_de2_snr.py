@@ -105,8 +105,7 @@ def _build_rows(reduction: SweepReduction) -> None:
             means[label] = mean_or_nan(
                 [float(value) for value in payload["values"]]
             )
-            if reduction.adaptive:
-                trials_used += int(payload["trials_used"])
+            trials_used += int(payload["trials_used"])
         paper = PAPER_TABLE4.get(int(snr), (float("nan"), float("nan")))
         row = {
             "snr_db": snr,

@@ -157,17 +157,11 @@ def _reduce_point(reduction: PointReduction) -> Dict[str, Any]:
     means: Dict[str, float] = {}
     trials_used = 0
     for label in ("zigbee", "emulated"):
-        if reduction.adaptive:
-            outcome = reduction.outcomes[f"{key}.{label}"]
-            means[label] = mean_or_nan(
-                [v for v in outcome.results if v is not None]
-            )
-            trials_used += outcome.trials_used
-        else:
-            means[label] = mean_or_nan([
-                v for v in reduction.results[f"{key}.{label}"]
-                if v is not None
-            ])
+        outcome = reduction.outcomes[f"{key}.{label}"]
+        means[label] = mean_or_nan(
+            [v for v in outcome.results if v is not None]
+        )
+        trials_used += outcome.trials_used
     paper = PAPER_TABLE5.get(int(distance), (float("nan"), float("nan")))
     row = {
         "distance_m": distance,

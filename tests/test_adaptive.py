@@ -1,19 +1,23 @@
 """Adaptive precision-targeted Monte Carlo: estimators, sweep, parity."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TrialExecutionError
+from repro.experiments import engine as engine_module
 from repro.experiments import table2_attack_awgn
 from repro.experiments.adaptive import (
+    Z_95,
     AdaptiveConfig,
     AdaptiveSweep,
     MeanEstimator,
     RateEstimator,
-    normal_quantile,
+    increment,
     wilson_interval,
 )
-from repro.experiments.engine import MonteCarloEngine
+from repro.experiments.engine import FAULT_EVERY_ENV, MonteCarloEngine
 from repro.telemetry import get_telemetry
 from repro.telemetry.events import MemoryEventSink, get_event_stream
 
@@ -29,15 +33,12 @@ def _gauss_trial(context, args, rng):
 
 
 class TestIntervalMath:
-    def test_normal_quantile_matches_known_z_scores(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-5)
-        assert normal_quantile(0.995) == pytest.approx(2.575829, abs=1e-5)
-        assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-9)
-
-    def test_normal_quantile_rejects_endpoints(self):
-        for p in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ConfigurationError):
-                normal_quantile(p)
+    def test_z_is_the_two_sided_95_percent_quantile(self):
+        assert 0.5 * (1.0 + math.erf(Z_95 / math.sqrt(2.0))) == (
+            pytest.approx(0.975, abs=1e-12)
+        )
+        # The exact value the sweeps' stopping points were pinned with.
+        assert Z_95 == 1.9599639845401384
 
     def test_wilson_interval_brackets_the_estimate(self):
         for successes, trials in ((0, 10), (5, 10), (10, 10), (1, 1000)):
@@ -104,16 +105,13 @@ class TestEstimators:
         with pytest.raises(ConfigurationError):
             AdaptiveConfig(rel_precision=0.0)
         with pytest.raises(ConfigurationError):
-            AdaptiveConfig(confidence=0.4)
-        with pytest.raises(ConfigurationError):
-            AdaptiveConfig(min_trials=0)
-        with pytest.raises(ConfigurationError):
             AdaptiveConfig(max_trials=0)
 
     def test_config_chunk_and_cap_resolution(self):
         config = AdaptiveConfig()
-        assert config.resolve_chunk(100) == 12
-        assert config.resolve_chunk(4) == 4
+        assert increment(100) == 12
+        assert increment(20) == 8
+        assert increment(4) == 4
         assert config.resolve_cap(100) == 400
         assert AdaptiveConfig(max_trials=50).resolve_cap(20) == 50
         # The cap never undercuts the base budget.
@@ -126,10 +124,10 @@ class TestAdaptiveSweep:
 
     def test_deterministic_point_converges_at_min_trials(self):
         with self._session() as session:
-            sweep = AdaptiveSweep(session, 100)
+            sweep = AdaptiveSweep(session, AdaptiveConfig())
             state = sweep.point(
-                _coin_trial, rng=0, static_args=(1.0,),
-                estimator=sweep.rate_estimator(), key="sure",
+                _coin_trial, 100, RateEstimator(), rng=0,
+                static_args=(1.0,), key="sure",
             )
             sweep.settle()
         outcome = state.outcome()
@@ -140,16 +138,14 @@ class TestAdaptiveSweep:
 
     def test_boundary_point_receives_reallocated_budget(self):
         with self._session() as session:
-            sweep = AdaptiveSweep(
-                session, 60, config=AdaptiveConfig(rel_precision=0.05)
-            )
+            sweep = AdaptiveSweep(session, AdaptiveConfig(rel_precision=0.05))
             easy = sweep.point(
-                _coin_trial, rng=0, static_args=(1.0,),
-                estimator=sweep.rate_estimator(), key="easy",
+                _coin_trial, 60, RateEstimator(), rng=0,
+                static_args=(1.0,), key="easy",
             )
             hard = sweep.point(
-                _coin_trial, rng=1, static_args=(0.5,),
-                estimator=sweep.rate_estimator(), key="hard",
+                _coin_trial, 60, RateEstimator(), rng=1,
+                static_args=(0.5,), key="hard",
             )
             sweep.settle()
         assert easy.outcome().trials_used < 60
@@ -160,14 +156,14 @@ class TestAdaptiveSweep:
     def test_cap_bounds_reallocation(self):
         with self._session() as session:
             config = AdaptiveConfig(rel_precision=0.05, max_trials=70)
-            sweep = AdaptiveSweep(session, 60, config=config)
+            sweep = AdaptiveSweep(session, config)
             easy = sweep.point(
-                _coin_trial, rng=0, static_args=(1.0,),
-                estimator=sweep.rate_estimator(), key="easy",
+                _coin_trial, 60, RateEstimator(), rng=0,
+                static_args=(1.0,), key="easy",
             )
             hard = sweep.point(
-                _coin_trial, rng=1, static_args=(0.5,),
-                estimator=sweep.rate_estimator(), key="hard",
+                _coin_trial, 60, RateEstimator(), rng=1,
+                static_args=(0.5,), key="hard",
             )
             sweep.settle()
         assert hard.outcome().trials_used <= 70
@@ -178,10 +174,10 @@ class TestAdaptiveSweep:
 
     def test_mean_point_converges(self):
         with self._session() as session:
-            sweep = AdaptiveSweep(session, 400)
+            sweep = AdaptiveSweep(session, AdaptiveConfig())
             state = sweep.point(
-                _gauss_trial, rng=0, static_args=(10.0, 0.5),
-                estimator=sweep.mean_estimator(), key="gauss",
+                _gauss_trial, 400, MeanEstimator(), rng=0,
+                static_args=(10.0, 0.5), key="gauss",
             )
             sweep.settle()
         outcome = state.outcome()
@@ -193,24 +189,60 @@ class TestAdaptiveSweep:
 
     def test_outcome_before_settle_raises(self):
         with self._session() as session:
-            sweep = AdaptiveSweep(session, 20)
+            sweep = AdaptiveSweep(session, AdaptiveConfig())
+            # A fair coin cannot reach 10 % precision in 20 trials, and
+            # its cap (80) is above its budget: not final until settle.
             state = sweep.point(
-                _coin_trial, rng=0, static_args=(1.0,),
-                estimator=sweep.rate_estimator(), key="early",
+                _coin_trial, 20, RateEstimator(), rng=0,
+                static_args=(0.5,), key="early",
             )
+            assert not state.converged
             with pytest.raises(ConfigurationError):
                 state.outcome()
             sweep.settle()
-            assert state.outcome().trials_used > 0
+            assert state.outcome().trials_used == 20
+
+    def test_converged_point_is_final_before_settle(self):
+        with self._session() as session:
+            sweep = AdaptiveSweep(session, AdaptiveConfig())
+            state = sweep.point(
+                _coin_trial, 50, RateEstimator(), rng=0,
+                static_args=(1.0,), key="sure",
+            )
+            before = state.outcome()
+            sweep.settle()
+        assert before.converged
+        assert state.outcome().trials_used == before.trials_used
+
+    def test_fixed_sweep_runs_each_budget_in_one_call(self):
+        calls = []
+
+        class Session:
+            def run(self, trial, count, rng=None, static_args=()):
+                calls.append(count)
+                return [True] * count
+
+            def run_until(self, *args):
+                raise AssertionError("a fixed sweep never runs increments")
+
+        sweep = AdaptiveSweep(Session(), None)
+        state = sweep.point(_coin_trial, 30, RateEstimator(), rng=0)
+        assert calls == [30]
+        assert state.final and not state.converged
+        assert state.outcome().trials_used == 30
+        sweep.settle()
+        assert sweep.trials_saved == 0
 
     def test_point_after_settle_raises(self):
         with self._session() as session:
-            sweep = AdaptiveSweep(session, 20)
+            sweep = AdaptiveSweep(session, AdaptiveConfig())
             sweep.settle()
             with pytest.raises(ConfigurationError):
-                sweep.point(_coin_trial, rng=0, static_args=(1.0,))
+                sweep.point(_coin_trial, 20, RateEstimator(), rng=0,
+                            static_args=(1.0,))
 
-    def test_settle_emits_point_converged_events_and_counters(self):
+    def _telemetry_of(self, body):
+        """Run ``body``; return its events and telemetry counters."""
         stream = get_event_stream()
         sink = stream.add_sink(MemoryEventSink())
         stream.enable()
@@ -218,22 +250,28 @@ class TestAdaptiveSweep:
         telemetry.reset()
         telemetry.enable()
         try:
-            with self._session() as session:
-                sweep = AdaptiveSweep(session, 50, experiment="unit")
-                sweep.point(
-                    _coin_trial, rng=0, static_args=(1.0,),
-                    estimator=sweep.rate_estimator(), key="p1",
-                )
-                sweep.settle()
-            events = [
-                e for e in sink.records if e["event"] == "point_converged"
-            ]
-            counters = telemetry.registry.snapshot()["counters"]
+            body()
+            return sink.records, telemetry.registry.snapshot()["counters"]
         finally:
             stream.remove_sink(sink)
             stream.disable()
             telemetry.disable()
             telemetry.reset()
+
+    def test_settle_emits_point_converged_events_and_counters(self):
+        def body():
+            with self._session() as session:
+                sweep = AdaptiveSweep(
+                    session, AdaptiveConfig(), experiment="unit"
+                )
+                sweep.point(
+                    _coin_trial, 50, RateEstimator(), rng=0,
+                    static_args=(1.0,), key="p1",
+                )
+                sweep.settle()
+
+        records, counters = self._telemetry_of(body)
+        events = [e for e in records if e["event"] == "point_converged"]
         assert len(events) == 1
         assert events[0]["experiment"] == "unit"
         assert events[0]["point"] == "p1"
@@ -241,6 +279,53 @@ class TestAdaptiveSweep:
         assert events[0]["trials_saved"] > 0
         assert events[0]["converged"] is True
         assert counters["engine.trials_saved"] == events[0]["trials_saved"]
+        assert "engine.points_capped" not in counters
+
+    def test_points_capped_counts_only_points_at_their_cap(self):
+        def body():
+            with self._session() as session:
+                config = AdaptiveConfig(rel_precision=0.05, max_trials=70)
+                sweep = AdaptiveSweep(session, config)
+                sweep.point(_coin_trial, 60, RateEstimator(), rng=0,
+                            static_args=(1.0,), key="easy")
+                sweep.point(_coin_trial, 60, RateEstimator(), rng=1,
+                            static_args=(0.5,), key="hard")
+                sweep.settle()
+
+        _, counters = self._telemetry_of(body)
+        assert counters["engine.points_capped"] == 1
+
+    def test_unconverged_points_below_their_cap_are_not_capped(self):
+        # Neither point converges at its 20-trial budget, so nothing is
+        # saved and both stop at 20 of their 80-trial cap.
+        results = []
+
+        def body():
+            results.append(table2_attack_awgn.run(
+                snrs_db=(7, 9), trials=20, rng=1, adaptive=True,
+                include_authentic=False, screen_defense=False,
+            ))
+
+        records, counters = self._telemetry_of(body)
+        assert [row["trials_used"] for row in results[0].rows] == [20, 20]
+        settled = [e for e in records if e["event"] == "point_converged"]
+        assert [e["converged"] for e in settled] == [False, False]
+        assert [e["capped"] for e in settled] == [False, False]
+        assert "engine.points_capped" not in counters
+
+    def test_fixed_run_reports_no_adaptive_telemetry(self):
+        def body():
+            table2_attack_awgn.run(
+                snrs_db=(15, 17), trials=6, rng=1,
+                include_authentic=False, screen_defense=False,
+            )
+
+        records, counters = self._telemetry_of(body)
+        kinds = [e["event"] for e in records]
+        assert "point_converged" not in kinds
+        assert kinds.count("point_finished") == 2
+        assert "engine.trials_saved" not in counters
+        assert "engine.points_capped" not in counters
 
 
 class TestAdaptiveFixedParity:
@@ -350,6 +435,35 @@ class TestAdaptiveCheckpoint:
             telemetry.reset()
         assert resumed.rows == first.rows
         assert all("trials_used" in row for row in resumed.rows)
+
+    def test_killed_adaptive_sweep_resumes_to_the_fresh_rows(
+        self, tmp_path, monkeypatch
+    ):
+        # 17 dB converges in pass 1 and is saved before settle; the
+        # fault drill then kills the run inside 13 dB's pass 1.  On
+        # resume, 17 dB's unspent budget must rejoin the pool, or 7 dB
+        # (which needs reallocated trials) would get fewer than before.
+        params = dict(
+            snrs_db=(17, 7, 13), trials=20, include_authentic=False,
+            screen_defense=False, adaptive=True,
+        )
+        monkeypatch.setenv(FAULT_EVERY_ENV, "11")
+        engine_module._FAULTED_SEEDS.clear()
+        with pytest.raises(TrialExecutionError):
+            table2_attack_awgn.run(
+                rng=1, checkpoint_dir=str(tmp_path), **params
+            )
+        saved = sorted(p.name for p in (tmp_path / "table2").glob("point_*"))
+        assert saved == ["point_snr17.json"]
+
+        monkeypatch.delenv(FAULT_EVERY_ENV)
+        engine_module._FAULTED_SEEDS.clear()
+        fresh = table2_attack_awgn.run(rng=1, **params)
+        resumed = table2_attack_awgn.run(
+            rng=1, checkpoint_dir=str(tmp_path), resume=True, **params
+        )
+        assert fresh.rows[1]["trials_used"] > 20
+        assert resumed.rows == fresh.rows
 
     def test_adaptive_and_fixed_checkpoints_do_not_mix(self, tmp_path):
         table2_attack_awgn.run(

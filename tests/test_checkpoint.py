@@ -3,12 +3,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TrialExecutionError
 from repro.experiments import engine as engine_module
-from repro.experiments import table2_attack_awgn
-from repro.experiments.checkpoint import CheckpointStore, open_checkpoint_store
+from repro.experiments import table2_attack_awgn, table4_de2_snr
+from repro.experiments.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
+    CheckpointStore,
+    open_checkpoint_store,
+)
 from repro.experiments.engine import FAULT_EVERY_ENV
 from repro.telemetry import get_telemetry
 from repro.utils.io import atomic_write_json, read_json
@@ -144,8 +149,19 @@ class TestCheckpointStore:
     def test_meta_records_format_version(self, tmp_path):
         CheckpointStore(tmp_path, "table2", fingerprint={"seed": 1})
         meta = json.loads((tmp_path / "table2" / "meta.json").read_text())
-        assert meta["format_version"] == 1
+        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
         assert meta["experiment_id"] == "table2"
+
+    def test_resume_against_another_format_version_rejected(self, tmp_path):
+        store = CheckpointStore(tmp_path, "table4", fingerprint={"seed": 1})
+        store.save("snr7.zigbee", [0.1, 0.2])
+        meta_path = tmp_path / "table4" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match="format version"):
+            CheckpointStore(tmp_path, "table4", fingerprint={"seed": 1},
+                            resume=True)
 
 
 class TestDriverResume:
@@ -178,6 +194,36 @@ class TestDriverResume:
                 rng=2, checkpoint_dir=str(tmp_path), resume=True, **self.PARAMS
             )
 
+    def test_numpy_integer_seed_keys_the_checkpoint(self, tmp_path):
+        table2_attack_awgn.run(
+            rng=np.int64(3), checkpoint_dir=str(tmp_path), **self.PARAMS
+        )
+        with pytest.raises(ConfigurationError):
+            table2_attack_awgn.run(
+                rng=np.int64(4), checkpoint_dir=str(tmp_path), resume=True,
+                **self.PARAMS
+            )
+        resumed = table2_attack_awgn.run(
+            rng=np.int64(3), checkpoint_dir=str(tmp_path), resume=True,
+            **self.PARAMS
+        )
+        assert resumed.rows == table2_attack_awgn.run(rng=3, **self.PARAMS).rows
+
+    @pytest.mark.parametrize("make_rng", [
+        lambda: None, lambda: np.random.default_rng(3),
+    ], ids=["none", "generator"])
+    def test_resume_without_an_integer_seed_rejected(self, tmp_path, make_rng):
+        # Both runs record no seed, so their fingerprints would match
+        # although their trials differ.
+        table2_attack_awgn.run(
+            rng=make_rng(), checkpoint_dir=str(tmp_path), **self.PARAMS
+        )
+        with pytest.raises(ConfigurationError, match="integer seed"):
+            table2_attack_awgn.run(
+                rng=make_rng(), checkpoint_dir=str(tmp_path), resume=True,
+                **self.PARAMS
+            )
+
     def test_killed_sweep_resumes_to_the_fresh_rows(self, tmp_path, monkeypatch):
         # Simulate a run killed between sweep points: at seed 3 the
         # fault drill with N=5 leaves the first SNR point checkpointed
@@ -203,6 +249,43 @@ class TestDriverResume:
             )
             counters = telemetry.registry.counters
             assert counters["engine.points_resumed"].value == 1
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert resumed.rows == fresh.rows
+
+    def test_killed_stream_unit_sweep_resumes_to_the_fresh_rows(
+        self, tmp_path, monkeypatch
+    ):
+        # table4 checkpoints each (SNR, class) stream.  At seed 4 the
+        # fault drill with N=7 aborts (on_error="raise") inside the last
+        # stream, after the first three were saved.
+        params = {"snrs_db": (7, 17), "waveforms_per_point": 3}
+        monkeypatch.setenv(FAULT_EVERY_ENV, "7")
+        engine_module._FAULTED_SEEDS.clear()
+        with pytest.raises(TrialExecutionError):
+            table4_de2_snr.run(
+                rng=4, checkpoint_dir=str(tmp_path), on_error="raise",
+                **params
+            )
+        saved = sorted(p.name for p in (tmp_path / "table4").glob("point_*"))
+        assert saved == [
+            "point_snr17.zigbee.json", "point_snr7.emulated.json",
+            "point_snr7.zigbee.json",
+        ]
+
+        monkeypatch.delenv(FAULT_EVERY_ENV)
+        engine_module._FAULTED_SEEDS.clear()
+        fresh = table4_de2_snr.run(rng=4, **params)
+        telemetry = get_telemetry()
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            resumed = table4_de2_snr.run(
+                rng=4, checkpoint_dir=str(tmp_path), resume=True, **params
+            )
+            counters = telemetry.registry.counters
+            assert counters["engine.points_resumed"].value == len(saved)
         finally:
             telemetry.disable()
             telemetry.reset()

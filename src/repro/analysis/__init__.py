@@ -19,8 +19,12 @@ invariants:
   in library code;
 * **R007** no print()/stream writes in library code;
 * **R009** explicit dtypes in the receive-chain kernel packages;
-* **R011** counters and the OBSERVABILITY.md catalogue agree (project);
 * **R012** engine wiring lives in the sweep runner.
+
+Each rule sees one file; the fixed rule list is
+:data:`repro.analysis.rules.RULES`.  The one cross-file convention,
+counters in code matching the ``docs/OBSERVABILITY.md`` catalogue, is
+a plain test (``tests/test_counter_catalogue.py``).
 
 Run it as ``repro-lint src tests`` (console script), ``python -m
 repro.analysis``, or ``repro-experiments lint``.  Diagnostics can be
@@ -33,8 +37,8 @@ the lint gate without installing the scientific stack.
 
 from repro.analysis.context import ModuleContext, qualified_name
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import all_rules, get_rule, rule
 from repro.analysis.reporters import render_json, render_text
+from repro.analysis.rules import all_rules
 from repro.analysis.runner import check_source, iter_python_files, run_lint
 
 __all__ = [
@@ -42,11 +46,9 @@ __all__ = [
     "ModuleContext",
     "all_rules",
     "check_source",
-    "get_rule",
     "iter_python_files",
     "qualified_name",
     "render_json",
     "render_text",
-    "rule",
     "run_lint",
 ]

@@ -6,11 +6,12 @@ Exit codes: 0 clean, 1 violations found, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
-from repro.analysis.registry import all_rules, known_codes
 from repro.analysis.reporters import render_json, render_text
+from repro.analysis.rules import RULES
 from repro.analysis.runner import run_lint
 
 
@@ -22,9 +23,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant checker for the Hide-and-Seek "
             "reproduction: RNG determinism, picklability, telemetry and "
-            "dB-unit discipline, receive-chain dtypes, engine wiring, "
-            "and counter-catalogue parity (rules R001-R007, R009, R011, "
-            "R012; see docs/STATIC_ANALYSIS.md)"
+            "dB-unit discipline, library hygiene, receive-chain dtypes "
+            "and engine wiring (rules R001-R007, R009, R012; see "
+            "docs/STATIC_ANALYSIS.md)"
         ),
     )
     parser.add_argument(
@@ -56,36 +57,28 @@ def _split_codes(value: Optional[str]) -> Optional[List[str]]:
     return [part.strip().upper() for part in value.split(",") if part.strip()]
 
 
-def _validate_codes(args: argparse.Namespace) -> Optional[str]:
-    """The usage-error message for unknown --select/--ignore codes."""
-    requested = set(_split_codes(args.select) or ()) | set(
-        _split_codes(args.ignore) or ()
-    )
-    unknown = sorted(requested - known_codes())
-    if unknown:
-        return (
-            f"unknown rule code(s): {', '.join(unknown)} "
-            f"(see --list-rules)"
-        )
-    return None
-
-
 def execute(args: argparse.Namespace) -> int:
     """Run a lint invocation from arguments parsed by :func:`build_parser`."""
     if args.list_rules:
-        for checker in all_rules():
+        for checker in RULES:
             print(f"{checker.code} {checker.name}")
             print(f"     {checker.rationale}")
         return 0
-    usage_error = _validate_codes(args)
-    if usage_error is not None:
-        print(f"repro-lint: {usage_error}", file=sys.stderr)
+    missing = [path for path in args.paths if not os.path.exists(path)]
+    if missing:
+        print("repro-lint: no such file or directory: " + " ".join(missing),
+              file=sys.stderr)
         return 2
-    diagnostics, files_checked = run_lint(
-        args.paths,
-        select=_split_codes(args.select),
-        ignore=_split_codes(args.ignore),
-    )
+    try:
+        diagnostics, files_checked = run_lint(
+            args.paths,
+            select=_split_codes(args.select),
+            ignore=_split_codes(args.ignore),
+        )
+    except KeyError as error:
+        print(f"repro-lint: {error.args[0]} (see --list-rules)",
+              file=sys.stderr)
+        return 2
     if files_checked == 0:
         print("repro-lint: no Python files found under "
               + " ".join(args.paths), file=sys.stderr)

@@ -8,10 +8,6 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Set
 
-#: Rule codes look like ``R001``; ``E``-prefixed codes are reserved for
-#: the runner itself (syntax errors, unreadable files).
-CODE_PATTERN = re.compile(r"^[ER]\d{3}$")
-
 _SUPPRESS_PATTERN = re.compile(
     r"#\s*reprolint:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s*]+)"
 )

@@ -8,11 +8,10 @@ the contracts the reproduction's correctness rests on — see
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import rule
 
 #: ``numpy.random`` attributes that construct or type seeded streams —
 #: everything else on the module is legacy global-state API.
@@ -118,7 +117,6 @@ def _function_parameter_names(
     return names
 
 
-@rule
 class NoLegacyGlobalRng:
     """R001 — only seeded ``numpy`` generator streams, no stdlib ``random``."""
 
@@ -181,7 +179,6 @@ class NoLegacyGlobalRng:
                     )
 
 
-@rule
 class RngMustBeThreaded:
     """R002 — stochastic functions accept and thread an ``rng``."""
 
@@ -256,7 +253,6 @@ class _TrialScope:
         self.unpicklable = {}
 
 
-@rule
 class EngineTrialsMustPickle:
     """R003 — engine trial callables are module-level defs."""
 
@@ -348,7 +344,6 @@ class EngineTrialsMustPickle:
         return False
 
 
-@rule
 class TelemetryDiscipline:
     """R004 — spans open via ``with``/``@traced``; no raw clock reads."""
 
@@ -395,7 +390,6 @@ class TelemetryDiscipline:
         return False
 
 
-@rule
 class DecibelUnitHygiene:
     """R005 — dB-valued names carry ``_db``/``_dbm``; no double de-dB."""
 
@@ -527,7 +521,6 @@ class DecibelUnitHygiene:
                 return
 
 
-@rule
 class NoSloppyLibraryCode:
     """R006 — no mutable defaults; no bare/overbroad excepts in library."""
 
@@ -602,7 +595,6 @@ class NoSloppyLibraryCode:
                 return
 
 
-@rule
 class NoDirectEngineWiring:
     """R012 — engine/checkpoint/adaptive wiring lives in the sweep runner."""
 
@@ -642,7 +634,6 @@ class NoDirectEngineWiring:
                     )
 
 
-@rule
 class NoDirectOutput:
     """R007 — library code never prints or writes stdout/stderr itself."""
 
@@ -857,7 +848,6 @@ class _DtypeChecker:
                 self._check_mixing(node)
 
 
-@rule
 class DtypePromotionHygiene:
     """R009 — receive-chain kernels state their dtypes explicitly."""
 
@@ -879,3 +869,42 @@ class DtypePromotionHygiene:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 _DtypeChecker(module, found).run(node)
         yield from found
+
+
+#: The rule set, in code order.  A new rule is one class above plus one
+#: entry here.
+RULES: Tuple[Any, ...] = (
+    NoLegacyGlobalRng(),
+    RngMustBeThreaded(),
+    EngineTrialsMustPickle(),
+    TelemetryDiscipline(),
+    DecibelUnitHygiene(),
+    NoSloppyLibraryCode(),
+    NoDirectOutput(),
+    DtypePromotionHygiene(),
+    NoDirectEngineWiring(),
+)
+
+
+def all_rules(
+    select: Optional[Iterable[str]] = None,
+    ignore: Optional[Iterable[str]] = None,
+) -> List[Any]:
+    """:data:`RULES`, optionally filtered.
+
+    Args:
+        select: when given, only these codes run.
+        ignore: codes to drop after selection.
+
+    Raises:
+        KeyError: a code in ``select`` or ``ignore`` names no rule.
+    """
+    selected = set(select) if select else None
+    ignored = set(ignore or ())
+    unknown = (set(selected or ()) | ignored) - {r.code for r in RULES}
+    if unknown:
+        raise KeyError(f"unknown rule codes: {', '.join(sorted(unknown))}")
+    return [
+        r for r in RULES
+        if (selected is None or r.code in selected) and r.code not in ignored
+    ]

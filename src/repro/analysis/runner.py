@@ -1,14 +1,8 @@
 """File discovery, rule execution, and suppression filtering.
 
-Lint is one sequential pass over the files plus a small project phase.
-The **per-file pass** parses each module once, runs every module-scope
-rule, and extracts a :class:`~repro.analysis.project.ModuleSummary`.
-The **project phase** assembles the summaries into a
-:class:`~repro.analysis.project.ProjectIndex` and runs the two
-cross-module rule (R011) over it; each resulting diagnostic is
-filtered against the suppression comments of the file it *anchors* in
-— which for a cross-module rule may not be the file that triggered the
-analysis.
+Lint is one sequential pass over the files: each module is parsed
+once, every selected rule checks it, and the findings are filtered
+against that file's own ``# reprolint: disable=`` comments.
 """
 
 from __future__ import annotations
@@ -16,31 +10,12 @@ from __future__ import annotations
 import ast
 import os
 from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
+    Any, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
-from repro.analysis import rules as _rules  # noqa: F401 - registers the rule set
 from repro.analysis.context import ModuleContext
 from repro.analysis.diagnostics import Diagnostic, SuppressionIndex
-from repro.analysis.project import (
-    ModuleSummary,
-    ProjectIndex,
-    find_project_root,
-    summarize_module,
-)
-from repro.analysis.project_rules import (  # noqa: F401 - registers R011
-    module_rules,
-    run_project_rules,
-)
-from repro.analysis.registry import all_rules
+from repro.analysis.rules import RULES, all_rules
 
 #: Directories never descended into.
 SKIPPED_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache", "build"}
@@ -71,54 +46,36 @@ def _runner_diagnostic(
     )
 
 
-def _parse(source: str, filename: str) -> Union[ModuleContext, Diagnostic]:
-    """The parsed module, or an ``E001`` diagnostic for a syntax error."""
+def check_source(
+    source: str,
+    filename: str = "<string>",
+    rules: Optional[Iterable[Any]] = None,
+) -> List[Diagnostic]:
+    """Lint one source string; a syntax error is one ``E001`` diagnostic.
+
+    ``filename`` drives role classification (library vs test vs exempt
+    module) exactly as an on-disk path would, so tests can exercise
+    library-only rules on fixture snippets.
+    """
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as error:
-        return _runner_diagnostic(
+        return [_runner_diagnostic(
             filename, error.lineno or 1, error.offset or 1, "E001",
             f"syntax error: {error.msg}",
-        )
-    return ModuleContext(filename, source, tree)
-
-
-def _check_module(
-    module: ModuleContext,
-    suppressions: SuppressionIndex,
-    checkers: Sequence[Any],
-) -> List[Diagnostic]:
-    """Module-scope diagnostics of one file, deduplicated and filtered."""
+        )]
+    module = ModuleContext(filename, source, tree)
+    suppressions = SuppressionIndex.from_source(source)
     found: List[Diagnostic] = []
-    seen = set()
-    for checker in checkers:
+    seen: Set[Tuple[str, int, int]] = set()
+    for checker in RULES if rules is None else rules:
         for diagnostic in checker.check(module):
             key = (diagnostic.code, diagnostic.line, diagnostic.column)
             if key in seen or suppressions.is_suppressed(diagnostic):
                 continue
             seen.add(key)
             found.append(diagnostic)
-    return found
-
-
-def check_source(
-    source: str,
-    filename: str = "<string>",
-    rules: Optional[Iterable[Any]] = None,
-) -> List[Diagnostic]:
-    """Lint one source string with the module-scope rules.
-
-    ``filename`` drives role classification (library vs test vs exempt
-    module) exactly as an on-disk path would, so tests can exercise
-    library-only rules on fixture snippets.  Project-scope rules need a
-    whole file set and are run by :func:`run_lint` only.
-    """
-    checkers = module_rules(list(rules) if rules is not None else all_rules())
-    parsed = _parse(source, filename)
-    if isinstance(parsed, Diagnostic):
-        return [parsed]
-    suppressions = SuppressionIndex.from_source(source)
-    return sorted(_check_module(parsed, suppressions, checkers))
+    return sorted(found)
 
 
 def run_lint(
@@ -131,17 +88,14 @@ def run_lint(
     Args:
         paths: files or directories to analyze.
         select / ignore: rule-code filters (unknown codes raise
-            ``KeyError`` from the registry).
+            ``KeyError`` from :func:`~repro.analysis.rules.all_rules`).
 
     Returns ``(diagnostics, files_checked)``, diagnostics sorted by
     location; unreadable files surface as ``E002`` diagnostics rather
     than crashing the run.
     """
-    active = all_rules(select=select, ignore=ignore)
-    checkers = module_rules(active)
+    checkers = all_rules(select=select, ignore=ignore)
     diagnostics: List[Diagnostic] = []
-    summaries: List[ModuleSummary] = []
-    anchors: Dict[str, SuppressionIndex] = {}
     files_checked = 0
     for filename in iter_python_files(paths):
         files_checked += 1
@@ -153,26 +107,5 @@ def run_lint(
                 filename, 1, 1, "E002", f"cannot read file: {error}",
             ))
             continue
-        parsed = _parse(source, filename)
-        if isinstance(parsed, Diagnostic):
-            diagnostics.append(parsed)
-            continue
-        suppressions = SuppressionIndex.from_source(source)
-        diagnostics.extend(_check_module(parsed, suppressions, checkers))
-        summaries.append(summarize_module(parsed))
-        anchors[parsed.path] = suppressions
-
-    index = ProjectIndex(summaries, root=find_project_root(list(paths)))
-    seen = set()
-    for diagnostic in run_project_rules(active, index):
-        anchor = anchors.get(diagnostic.path)
-        if anchor is not None and anchor.is_suppressed(diagnostic):
-            continue
-        key = (
-            diagnostic.path, diagnostic.line, diagnostic.column,
-            diagnostic.code, diagnostic.message,
-        )
-        if key not in seen:
-            seen.add(key)
-            diagnostics.append(diagnostic)
+        diagnostics.extend(check_source(source, filename, checkers))
     return sorted(diagnostics), files_checked

@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[build_lint_parser()],
         add_help=False,
         help="run reprolint, the AST invariant checker (rules R001-R007, "
-             "R009, R011, R012)",
+             "R009, R012)",
     )
 
     report = subparsers.add_parser(

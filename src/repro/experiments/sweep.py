@@ -454,11 +454,14 @@ _SCENARIO_TOP_KEYS = frozenset(
 def load_scenario(path: str) -> Dict[str, Any]:
     """Parse and shape-check one scenario JSON file."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             scenario = json.load(handle)
     except OSError as error:
         raise ConfigurationError(f"cannot read scenario file: {error}")
-    except json.JSONDecodeError as error:
+    except UnicodeDecodeError as error:
+        raise ConfigurationError(f"scenario file {path} is not UTF-8: {error}")
+    except (ValueError, RecursionError) as error:
+        # JSONDecodeError, integers past the digit limit, deep nesting.
         raise ConfigurationError(f"malformed scenario JSON in {path}: {error}")
     if not isinstance(scenario, dict):
         raise ConfigurationError(

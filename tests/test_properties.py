@@ -1,5 +1,7 @@
 """Cross-module property-based tests of the system's core invariants."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from repro.attack.emulator import WaveformEmulationAttack
 from repro.defense.constellation import reconstruct_constellation
 from repro.defense.detector import CumulantDetector
 from repro.defense.moments import estimate_cumulants
+from repro.errors import ConfigurationError
+from repro.experiments.sweep import load_scenario
 from repro.zigbee.receiver import ZigBeeReceiver
 from repro.zigbee.transmitter import ZigBeeTransmitter
 
@@ -197,3 +201,35 @@ class TestWaveformInvariants:
         sent = ZigBeeTransmitter().transmit_payload(payload)
         emulated = WaveformEmulationAttack().emulate(sent.waveform)
         assert len(emulated.waveform) % 80 == 0
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        st.sampled_from(["experiment", "overrides", "channel", "receiver",
+                         "detector", "seed"]) | st.text(max_size=8),
+        children, max_size=4,
+    ),
+    max_leaves=12,
+)
+_scenario_bytes = st.binary(max_size=200) | _json_values.map(
+    lambda value: json.dumps(value).encode("utf-8")
+)
+
+
+class TestScenarioFileFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_scenario_bytes)
+    def test_load_scenario_returns_a_scenario_or_a_configuration_error(
+        self, tmp_path_factory, content
+    ):
+        """Any bytes on disk: a shaped scenario or a typed failure."""
+        path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+        path.write_bytes(content)
+        try:
+            scenario = load_scenario(str(path))
+        except ConfigurationError:
+            return
+        assert isinstance(scenario, dict)
+        assert isinstance(scenario["experiment"], str)
+        assert scenario["experiment"]

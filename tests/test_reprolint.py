@@ -25,7 +25,7 @@ from repro.analysis import (
 )
 from repro.analysis.cli import main as lint_main
 from repro.analysis.diagnostics import Diagnostic, SuppressionIndex
-from repro.analysis.registry import rule
+from repro.analysis.rules import RULES
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -592,30 +592,14 @@ class TestRunnerAndRegistry:
         }
         assert ignored == {"R001"}
 
-    def test_unknown_codes_raise(self):
+    def test_unknown_rule_codes_raise(self):
         with pytest.raises(KeyError):
             all_rules(select=["R999"])
 
-    def test_registry_rejects_malformed_rules(self):
-        with pytest.raises(ValueError):
-            @rule
-            class MissingCode:
-                name = "nameless"
-                rationale = "no code attribute"
-
-                def check(self, module):
-                    return []
-
-    def test_duplicate_codes_are_rejected(self):
-        with pytest.raises(ValueError):
-            @rule
-            class DuplicateR001:
-                code = "R001"
-                name = "duplicate"
-                rationale = "already taken"
-
-                def check(self, module):
-                    return []
+    def test_rule_codes_are_unique_and_documented(self):
+        codes = [checker.code for checker in RULES]
+        assert len(set(codes)) == len(codes)
+        assert all(checker.name and checker.rationale for checker in RULES)
 
 
 class TestCliAndSelfCheck:
@@ -623,8 +607,9 @@ class TestCliAndSelfCheck:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("R001", "R002", "R003", "R004", "R005", "R006", "R007",
-                     "R012"):
+                     "R009", "R012"):
             assert code in out
+        assert "R011" not in out
 
     def test_violations_exit_1_with_text_report(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "bad.py"
@@ -646,6 +631,13 @@ class TestCliAndSelfCheck:
         assert lint_main([str(empty)]) == 2
         assert lint_main(["--select", "R999", str(empty)]) == 2
         capsys.readouterr()
+
+    def test_missing_path_exits_2(self, tmp_path, capsys):
+        """A misspelled path must not shrink the gate to what exists."""
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        missing = str(tmp_path / "no_such_dir")
+        assert lint_main([str(tmp_path), missing]) == 2
+        assert missing in capsys.readouterr().err
 
     def test_repo_self_check_is_clean(self, capsys):
         """`repro-lint src tests` must exit 0 on this repository."""

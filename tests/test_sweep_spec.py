@@ -212,6 +212,17 @@ class TestScenarioValidation:
         code, err = self.cli_error(capsys, "run", "--scenario", str(path))
         assert code == 2 and "malformed scenario JSON" in err
 
+    @pytest.mark.parametrize("content, message", [
+        (b'\xff\xfe{"experiment": 1}', "not UTF-8"),
+        (b"1" * 5000, "malformed scenario JSON"),
+        (b"[" * 100000, "malformed scenario JSON"),
+    ], ids=["non-utf8", "huge-integer", "deep-nesting"])
+    def test_hostile_file_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, err = self.cli_error(capsys, "run", "--scenario", str(path))
+        assert code == 2 and message in err
+
     def test_unknown_top_level_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"experiment": "table2", "bogus": 1}))

@@ -27,12 +27,14 @@ counts, sums, and extrema are exact).
 Live events (:mod:`repro.telemetry.events`) are emitted **from the
 parent only**, as chunks complete: per-trial ``trial_retry`` /
 ``trial_failure`` records followed by one ``heartbeat`` per chunk, plus
-``pool_rebuild`` / ``pool_fallback`` at the recovery boundaries.  The
-serial path executes in the same chunks as the parallel path (see
-:meth:`MonteCarloEngine.resolve_chunk_size`), so for a fixed explicit
-``chunk_size`` and seed the *sequence of event types* is identical
-serial vs parallel — and the bit-identical-rows guarantee is untouched,
-because emission happens after results are already collected.
+``pool_rebuild`` / ``pool_fallback`` at the recovery boundaries.  Given
+an explicit ``chunk_size``, the serial path executes in the same chunks
+as the parallel path, so for that chunk size and seed the *sequence of
+event types* is identical serial vs parallel.  Without one, a serial
+run uses fewer, larger chunks (see
+:meth:`MonteCarloEngine.resolve_chunk_size`); rows are bit-identical
+either way, because chunking never changes a trial's stream and
+emission happens after results are already collected.
 
 Fault tolerance — long sweeps survive misbehaving trials and dying
 workers instead of discarding hours of completed points:
@@ -98,8 +100,18 @@ TrialFn = Callable[[Dict[str, Any], Tuple[Any, ...], np.random.Generator], Any]
 
 #: Chunks target this many dispatches per worker when no explicit
 #: ``chunk_size`` is given — large enough to amortize IPC, small enough
-#: to load-balance uneven trial costs.
+#: to load-balance uneven trial costs.  A serial run also targets it,
+#: but never below :data:`SERIAL_MIN_CHUNK` rows.
 DEFAULT_CHUNKS_PER_WORKER = 4
+
+#: Smallest chunk of a serial run with no explicit ``chunk_size``
+#: (capped at the run's length).  Serial chunks balance nothing, and
+#: every dispatch of a batched trial pays per-call costs (the O-QPSK
+#: phase loop runs once per chip pair, whatever the batch), so a short
+#: run such as an 8-trial adaptive increment goes out as one batch.
+#: Runs of 128 trials or more keep ``count / DEFAULT_CHUNKS_PER_WORKER``
+#: chunks, which bounds the rows in flight and so the peak memory.
+SERIAL_MIN_CHUNK = 32
 
 #: Valid ``on_error`` policies (see :class:`MonteCarloEngine`).
 ON_ERROR_POLICIES = ("raise", "retry", "skip")
@@ -237,10 +249,10 @@ def _execute_trial(
     from the **same seed**, so a trial that recovers from a transient
     fault returns the bit-identical value of an unfaulted run.
 
-    The batched executor pre-checks the fault drill per item; when an
-    item already failed its first attempt there, it finishes here with
-    ``start_attempt=2`` and the captured ``prior_failure``, keeping the
-    retry/failure accounting identical to the scalar path.
+    :func:`_run_batch_items` pre-checks the fault drill per item; when
+    an item already failed its first attempt there, it finishes here
+    with ``start_attempt=2`` and the captured ``prior_failure``, so its
+    retry/failure accounting is the same as an item that failed here.
     """
     telemetry = get_telemetry()
     attempts = 1 + (max_retries if on_error == "retry" else 0)
@@ -280,11 +292,12 @@ def _run_batch_items(
 
     The chunk's healthy items run as **one** batch call receiving a list
     of generators rebuilt from each item's own stream seed, in item
-    order — so each row sees exactly the generator the scalar path would
-    hand it.  Items the fault drill pre-fails (and every item, should
-    the batch call itself raise) degrade to the scalar executor, whose
-    single-row batch calls reproduce batch rows bit-for-bit; retry and
-    failure accounting therefore matches the scalar path exactly.
+    order — so each row sees exactly the generator it would get in any
+    other chunking.  Items the fault drill pre-fails (and every item,
+    should the batch call itself raise) go one at a time through
+    :func:`_execute_trial`, whose single-row batch calls reproduce batch
+    rows bit-for-bit; retry and failure accounting is therefore the same
+    whatever the chunk size.
     """
     telemetry = get_telemetry()
     results: List[Optional[Tuple[int, Any, Optional[TrialFailure], int]]] = (
@@ -324,9 +337,9 @@ def _run_batch_items(
                     f"returned {len(rows)} rows for {len(rngs)} generators"
                 )
         except ISOLATED_TRIAL_EXCEPTIONS:
-            # The whole batch call failed; fall back to per-item scalar
-            # execution so one poisoned realization cannot take down its
-            # chunk siblings and the isolation policy applies per trial.
+            # The whole batch call failed; fall back to one-row calls
+            # so one poisoned realization cannot take down its chunk
+            # siblings and the isolation policy applies per trial.
             telemetry.count("engine.batch_fallbacks")
             rows = None
         if rows is not None:
@@ -525,9 +538,9 @@ class EngineSession:
         chunks = _chunked(items, self._engine.resolve_chunk_size(count))
         pool = self._acquire_pool()
         if pool is None:
-            # Same chunk boundaries as the parallel path, so heartbeat
-            # cadence (and the event-type sequence) matches it for a
-            # fixed chunk size.
+            # For an explicit chunk size these are the parallel path's
+            # chunk boundaries, so heartbeat cadence (and the event-type
+            # sequence) matches it.
             for chunk in chunks:
                 self._run_items_in_process(trial, static_args, chunk, results)
             return [results[index] for index, _ in items]
@@ -830,8 +843,8 @@ class MonteCarloEngine:
             in-process sequential executor (the default — experiments
             stay dependency- and fork-free unless asked); ``"auto"``
             resolves to the host CPU count.
-        chunk_size: trials per dispatched chunk; ``None`` derives
-            ``ceil(count / (workers * DEFAULT_CHUNKS_PER_WORKER))``.
+        chunk_size: trials per dispatched chunk; ``None`` derives it
+            per run (see :meth:`resolve_chunk_size`).
         on_error: trial-failure policy — ``"raise"`` (default) turns
             the first failure into :class:`TrialExecutionError`,
             ``"retry"`` re-runs a failing trial up to ``max_retries``
@@ -873,12 +886,20 @@ class MonteCarloEngine:
         self.used_fallback = False
 
     def resolve_chunk_size(self, count: int) -> int:
-        """The chunk size used for a ``count``-trial run."""
+        """The chunk size used for a ``count``-trial run.
+
+        An explicit ``chunk_size`` wins.  Otherwise the run is split
+        into ``workers * DEFAULT_CHUNKS_PER_WORKER`` chunks; a serial
+        run's chunks are also at least ``min(count, SERIAL_MIN_CHUNK)``.
+        """
         if self.chunk_size is not None:
             return self.chunk_size
-        return max(
+        chunk = max(
             1, math.ceil(count / (self.workers * DEFAULT_CHUNKS_PER_WORKER))
         )
+        if self.workers == 1:
+            chunk = max(chunk, min(count, SERIAL_MIN_CHUNK))
+        return chunk
 
     def session(self, context: Optional[Dict[str, Any]] = None) -> EngineSession:
         """Open an execution session sharing ``context`` with workers.

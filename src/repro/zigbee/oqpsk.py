@@ -194,35 +194,52 @@ class OqpskDemodulator:
             return soft, (soft > 0).astype(np.uint8)
 
         # Decision-directed phase loop: the recursion over chip pairs is
-        # inherently sequential, but each step is vectorized across the
-        # batch, replacing the former per-pair Python loop body.
+        # inherently sequential, so each step works on both rails of the
+        # whole batch at once, in buffers allocated up front.  Keep each
+        # floating-point operation the ufunc, operand order and memory
+        # layout it is: the sweep oracles pin numpy's kernels, NaN signs
+        # included (strided and contiguous complex multiplies differ
+        # there), and tests compare bits against a reference loop.
+        rails = np.stack((z_i, z_q))
+        chips = np.empty((pairs, 2, batch), dtype=np.float64)
+        pair_rails = np.empty((2, batch), dtype=np.complex128)
+        real_i = pair_rails[0].real
+        imag_q = pair_rails[1].imag
         theta = np.zeros(batch, dtype=np.float64)
+        unrotated = np.ones(batch, dtype=np.complex128)
         for pair in range(pairs):
-            rotation = np.where(theta == 0.0, 1.0 + 0.0j, np.exp(-1j * theta))
-            pair_i = z_i[:, pair] * rotation
-            pair_q = z_q[:, pair] * rotation
-            soft[:, 2 * pair] = pair_i.real
-            soft[:, 2 * pair + 1] = pair_q.imag
+            # A zero theta rotates by exactly 1+0j, not exp(-0j) = 1-0j.
+            moved = np.count_nonzero(theta)
+            if moved == 0:
+                rotation = unrotated
+            elif moved == batch:
+                rotation = np.exp(-1j * theta)
+            else:
+                rotation = np.where(
+                    theta == 0.0, 1.0 + 0.0j, np.exp(-1j * theta)
+                )
+            np.multiply(rails[:, :, pair], rotation, out=pair_rails)
+            soft_pair = chips[pair]
+            soft_pair[0] = real_i
+            soft_pair[1] = imag_q
             # Ideal pair_i is +/-E on the real axis; ideal pair_q is
-            # +/-jE and is rotated onto the real axis first.  Zero-signed
-            # components fall back to +1 exactly like `x or 1.0` did.
-            sign_i = np.sign(pair_i.real)
-            sign_i = np.where(sign_i == 0.0, 1.0, sign_i)
-            sign_q = np.sign(pair_q.imag)
-            sign_q = np.where(sign_q == 0.0, 1.0, sign_q)
-            use_i = np.abs(pair_i) > 1e-12
-            use_q = np.abs(pair_q) > 1e-12
-            error = np.where(use_i, np.angle(pair_i * sign_i), 0.0)
-            error = error + np.where(
-                use_q, np.angle(pair_q * -1j * sign_q), 0.0
+            # +/-jE and is rotated onto the real axis first.  Each is
+            # folded by its decision sign (+1 for a zero) as a complex
+            # multiply, which turns an infinite part into NaN; folding
+            # the parts by a real sign would leave it finite.
+            sign = np.where(soft_pair < 0.0, -1.0 + 0.0j, 1.0 + 0.0j)
+            use = np.abs(pair_rails) > 1e-12
+            pair_rails[1] *= -1j
+            pair_rails *= sign
+            error = np.where(
+                use, np.arctan2(pair_rails.imag, pair_rails.real), 0.0
             )
-            contributions = use_i.astype(np.int64) + use_q.astype(np.int64)
-            divisor = np.where(contributions > 0, contributions, 1)
-            theta = np.where(
-                contributions > 0,
-                theta + loop_gain * error / divisor,
-                theta,
+            # With no usable rail the error is +0.0 and theta (never
+            # -0.0) stays put, so no final select is needed.
+            theta = theta + loop_gain * (error[0] + error[1]) / np.where(
+                use[0] & use[1], 2.0, 1.0
             )
+        soft = chips.transpose(2, 0, 1).reshape(batch, num_chips)
         soft = soft / self._pulse_energy
         return soft, (soft > 0).astype(np.uint8)
 

@@ -6,7 +6,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import engine as engine_module
 from repro.experiments import table2_attack_awgn
-from repro.experiments.engine import MonteCarloEngine
+from repro.experiments.engine import (
+    FAULT_EVERY_ENV,
+    MonteCarloEngine,
+    batch_trial,
+)
 from repro.telemetry import SpanNode, Telemetry, get_telemetry
 from repro.telemetry.metrics import Histogram, MetricRegistry
 from repro.utils.rng import spawn_rngs, spawn_seeds
@@ -26,6 +30,17 @@ def _counting_trial(context, args, rng):
         telemetry.count("test.trials")
         telemetry.observe("test.values", value)
     return value
+
+
+#: Row counts of every call to :func:`_recorded_batch_draw`, in order.
+_BATCH_CALLS = []
+
+
+@batch_trial
+def _recorded_batch_draw(context, args, rngs):
+    """Batched trial that records its row count per call."""
+    _BATCH_CALLS.append(len(rngs))
+    return [float(rng.normal()) for rng in rngs]
 
 
 class TestSpawnSeeds:
@@ -54,6 +69,11 @@ class TestEngineConfig:
         assert engine.resolve_chunk_size(160) == 10
         assert engine.resolve_chunk_size(1) == 1
         assert MonteCarloEngine(workers=4, chunk_size=3).resolve_chunk_size(160) == 3
+        # Serial: one chunk up to the floor, then four chunks per run.
+        serial = MonteCarloEngine(workers=1)
+        for count, chunk in ((1, 1), (8, 8), (40, 32), (200, 50), (1000, 250)):
+            assert serial.resolve_chunk_size(count) == chunk, count
+        assert MonteCarloEngine(chunk_size=2).resolve_chunk_size(8) == 2
 
     def test_negative_trial_count_rejected(self):
         with MonteCarloEngine().session({}) as session:
@@ -88,6 +108,44 @@ class TestDeterminism:
             workers=2, chunk_size=1,
         )
         assert serial.rows == parallel.rows
+
+
+class TestSerialIncrements:
+    """A serial adaptive increment is one batch, with the same outcome."""
+
+    def test_serial_increment_is_one_batch_call(self):
+        _BATCH_CALLS.clear()
+        with MonteCarloEngine().session({}) as session:
+            stream = session.run_until(_recorded_batch_draw, rng=4)
+            stream.extend(8)
+        assert _BATCH_CALLS == [8]
+
+    @pytest.mark.parametrize("on_error", ["retry", "skip"])
+    def test_fault_drill_matches_two_row_chunks(self, monkeypatch, on_error):
+        monkeypatch.setenv(FAULT_EVERY_ENV, "3")
+
+        def drill(chunk_size):
+            engine_module._FAULTED_SEEDS.clear()
+            engine = MonteCarloEngine(chunk_size=chunk_size, on_error=on_error)
+            with engine.session({}) as session:
+                stream = session.run_until(_recorded_batch_draw, rng=4)
+                for _ in range(3):
+                    stream.extend(8)
+            return stream.results, session.failures
+
+        try:
+            whole, whole_failures = drill(None)
+            pairs, pair_failures = drill(2)
+        finally:
+            engine_module._FAULTED_SEEDS.clear()
+        assert whole == pairs
+        assert whole_failures == pair_failures
+        if on_error == "skip":
+            assert whole_failures
+            assert whole.count(None) == len(whole_failures)
+        else:
+            assert not whole_failures
+            assert None not in whole
 
 
 class TestTelemetryMerge:

@@ -149,3 +149,154 @@ class TestConstellationPairing:
     def test_rejects_odd_count(self):
         with pytest.raises(ConfigurationError):
             chips_to_constellation([1.0, -1.0, 1.0])
+
+
+def _phase_loop_stress_rows() -> np.ndarray:
+    """Fifty seeded rows that drive every branch of the phase loop.
+
+    Most rows are noisy waveforms with a residual CFO, so ``theta``
+    moves from the first pair.  Mixed in are all-zero rows (no pair
+    ever contributes, ``theta`` stays exactly 0), rows whose leading
+    chip pairs are zero (``theta`` sits at 0 beside rows whose ``theta``
+    moves), a row with an all-zero gap after ``theta`` has moved, one
+    extreme-amplitude row whose matched-filter sums overflow to inf/NaN
+    (:data:`NON_FINITE_ROWS`), and rows with a short burst that
+    overflows one part of a pair to inf after ``theta`` has moved.
+    """
+    from repro.utils.signal_ops import frequency_shift
+
+    rng = np.random.default_rng(2019)
+    waveform = OqpskModulator(2).modulate(rng.integers(0, 2, 96))
+    n = waveform.size
+    rows = []
+    for index in range(50):
+        row = frequency_shift(waveform, 300.0 + 40.0 * index, 4e6, index)
+        row = row + 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        rows.append(row)
+    rows[1] = np.zeros(n, dtype=np.complex128)
+    rows[4][: 4 * 7] = 0.0
+    rows[6][: 4 * 30] = 0.0
+    rows[7][4 * 10 : 4 * 20] = 0.0
+    rows[9] = 0.9e308 * np.exp(2j * np.pi * rng.random(n))
+    rows[12][4 * 30 : 4 * 32] = complex(1.5e308, 0.5)
+    rows[23][: 4 * 3] = 0.0
+    rows[31][4 * 20 : 4 * 21] = complex(0.5, -1.5e308)
+    rows[40] = np.zeros(n, dtype=np.complex128)
+    rows[44][4 * 25 : 4 * 27] = complex(-1.5e308, 1.5e308)
+    return np.stack(rows)
+
+
+#: Stress rows whose soft chips are not all finite.
+NON_FINITE_ROWS = [9, 12, 31, 44]
+
+
+#: SHA-256 of ``soft.view(np.int64)`` for the stress rows above, per
+#: ``phase_tracking`` setting.  Every floating-point operation of the
+#: loop is a numpy ufunc, so these pin numpy's own kernels on the host
+#: too: a numpy upgrade that changes them must re-pin deliberately,
+#: together with the sweep oracles.
+PHASE_LOOP_DIGESTS = {
+    True: "f01888dc84c1b74d44b8d25d9aa996da216b149b2fb54db7e65689e7c7677946",
+    False: "9dd104096442e5444bb0b7709790a6e927e310422a46bab626e7b3291e8d7bec",
+}
+
+
+#: Seeded input families for the reference comparison.
+HAZARDS = ("plain", "specials", "huge", "zeros", "late-overflow")
+
+
+def _reference_soft(waveforms, num_chips, sps=2, loop_gain=0.05):
+    """The phase-tracking demodulator as first written, one select per
+    branch: the bit-for-bit reference for ``demodulate_batch``."""
+    from repro.zigbee.halfsine import half_sine_pulse, pulse_energy
+
+    pulse = half_sine_pulse(sps)
+    window = 2 * sps
+    batch = waveforms.shape[0]
+    pairs = num_chips // 2
+    soft = np.zeros((batch, num_chips), dtype=np.float64)
+    z_i = np.zeros((batch, pairs), dtype=np.complex128)
+    z_q = np.zeros((batch, pairs), dtype=np.complex128)
+    for w in range(window):
+        z_i = z_i + waveforms[:, w::window][:, :pairs] * pulse[w]
+        z_q = z_q + waveforms[:, sps + w :: window][:, :pairs] * pulse[w]
+    theta = np.zeros(batch, dtype=np.float64)
+    for pair in range(pairs):
+        rotation = np.where(theta == 0.0, 1.0 + 0.0j, np.exp(-1j * theta))
+        pair_i = z_i[:, pair] * rotation
+        pair_q = z_q[:, pair] * rotation
+        soft[:, 2 * pair] = pair_i.real
+        soft[:, 2 * pair + 1] = pair_q.imag
+        sign_i = np.sign(pair_i.real)
+        sign_i = np.where(sign_i == 0.0, 1.0, sign_i)
+        sign_q = np.sign(pair_q.imag)
+        sign_q = np.where(sign_q == 0.0, 1.0, sign_q)
+        use_i = np.abs(pair_i) > 1e-12
+        use_q = np.abs(pair_q) > 1e-12
+        error = np.where(use_i, np.angle(pair_i * sign_i), 0.0)
+        error = error + np.where(use_q, np.angle(pair_q * -1j * sign_q), 0.0)
+        contributions = use_i.astype(np.int64) + use_q.astype(np.int64)
+        divisor = np.where(contributions > 0, contributions, 1)
+        theta = np.where(
+            contributions > 0, theta + loop_gain * error / divisor, theta
+        )
+    return soft / pulse_energy(sps)
+
+
+class TestPhaseLoopBits:
+    """The demodulator's exact output bits, whatever the batch size."""
+
+    @pytest.mark.parametrize("phase_tracking", [True, False])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 8, 9, 50])
+    def test_soft_bits_are_pinned(self, batch, phase_tracking):
+        import hashlib
+
+        rows = _phase_loop_stress_rows()
+        demod = OqpskDemodulator(2)
+        num_chips = demod.capacity(rows.shape[1])
+        softs = []
+        with np.errstate(all="ignore"):
+            for start in range(0, len(rows), batch):
+                soft, hard = demod.demodulate_batch(
+                    rows[start : start + batch],
+                    num_chips,
+                    phase_tracking=phase_tracking,
+                )
+                assert np.array_equal(hard, (soft > 0).astype(np.uint8))
+                softs.append(soft)
+        soft = np.concatenate(softs)
+        finite = np.isfinite(soft).all(axis=1)
+        assert np.flatnonzero(~finite).tolist() == NON_FINITE_ROWS
+        digest = hashlib.sha256(soft.view(np.int64).tobytes()).hexdigest()
+        assert digest == PHASE_LOOP_DIGESTS[phase_tracking]
+
+    @pytest.mark.parametrize("hazard", HAZARDS)
+    def test_matches_reference_loop_on_hostile_rows(self, hazard):
+        rng = np.random.default_rng(HAZARDS.index(hazard))
+        demod = OqpskDemodulator(2)
+        specials = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 1e-320]
+        )
+        for batch in (1, 2, 3, 8, 9, 50) * 8:
+            n = int(rng.integers(6, 200))
+            rows = rng.standard_normal((batch, n)) + 1j * rng.standard_normal(
+                (batch, n)
+            )
+            with np.errstate(all="ignore"):
+                if hazard == "specials":
+                    for part in (rows.real, rows.imag):
+                        mask = rng.random((batch, n)) < 0.05
+                        part[mask] = rng.choice(specials, mask.sum())
+                elif hazard == "huge":
+                    rows *= 10.0 ** rng.uniform(300.0, 308.0, (batch, 1))
+                elif hazard == "zeros":
+                    rows[rng.random((batch, n)) < 0.3] = 0.0
+                    rows[rng.random(batch) < 0.3] = 0.0
+                elif hazard == "late-overflow":
+                    for row, start in zip(rows, rng.integers(0, n, batch)):
+                        row[start : start + 5] *= 1e308
+                num_chips = demod.capacity(n)
+                soft, _ = demod.demodulate_batch(rows, num_chips)
+                expected = _reference_soft(rows, num_chips)
+            assert np.array_equal(soft.view(np.int64), expected.view(np.int64))
+

@@ -10,17 +10,12 @@ classification is just as clean.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
 from repro.defense.detector import calibrate_threshold
-from repro.experiments.adaptive import DEFAULT_REL_PRECISION
-from repro.experiments.common import (
-    ExperimentResult,
-    prepare_authentic,
-    prepare_emulated,
-)
+from repro.experiments.common import prepare_authentic, prepare_emulated
 from repro.experiments.defense_common import (
     _distance_or_none,
     statistic_trial,
@@ -35,17 +30,7 @@ from repro.experiments.sweep import (
     resolve_channel_factory,
     resolve_detector,
     resolve_receiver,
-    run_sweep,
 )
-from repro.utils.rng import RngLike
-
-
-def _fingerprint(config: Mapping[str, Any]) -> Dict[str, Any]:
-    return {
-        "train_per_class": config["train_per_class"],
-        "test_per_class": config["test_per_class"],
-        "snrs_db": [float(snr) for snr in config["snrs_db"]],
-    }
 
 
 def _plan(config: Mapping[str, Any]) -> SweepPlan:
@@ -145,53 +130,14 @@ SPEC = SweepSpec(
         "train_per_class": 25,
         "test_per_class": 25,
     },
-    fingerprint=_fingerprint,
     plan=_plan,
     context=_context,
     columns=_columns,
     checkpoint_unit="stream",
     build_rows=_build_rows,
     detector=resolve_detector,
-    scenario=ScenarioSupport(
-        axes=("snrs_db", "train_per_class", "test_per_class"),
-        channel="snr",
-        receiver=True,
-        detector=True,
-    ),
+    scenario=ScenarioSupport(channel="snr", receiver=True),
 )
 
 
-def run(
-    snrs_db: Sequence[float] = (7, 12, 17),
-    train_per_class: int = 25,
-    test_per_class: int = 25,
-    rng: RngLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    adaptive: bool = False,
-    rel_precision: float = DEFAULT_REL_PRECISION,
-    max_trials: Optional[int] = None,
-) -> ExperimentResult:
-    """Calibrate Q on training waveforms and evaluate on held-out ones.
-
-    Checkpointing persists each (SNR, split, class) collection point;
-    the threshold and the table rows are cheap reductions recomputed
-    from the (possibly resumed) points every run.  ``adaptive`` stops
-    each collection point once its mean-D_E^2 Welford CI reaches
-    ``rel_precision`` relative half-width (cap ``max_trials``).
-    """
-    return run_sweep(
-        SPEC,
-        overrides={
-            "snrs_db": tuple(snrs_db),
-            "train_per_class": train_per_class,
-            "test_per_class": test_per_class,
-        },
-        rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        adaptive=adaptive, rel_precision=rel_precision,
-        max_trials=max_trials,
-    )
+run = SPEC.run

@@ -11,13 +11,13 @@ real-environment channel.  Each measured packet is one engine trial, so
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.channel.pathloss import LinkBudget
-from repro.experiments.adaptive import DEFAULT_REL_PRECISION
-from repro.experiments.common import ExperimentResult, prepare_authentic
+from repro.experiments.common import prepare_authentic
+from repro.experiments.defense_common import mean_or_nan
 from repro.experiments.sweep import (
     PointReduction,
     PointSpec,
@@ -26,10 +26,8 @@ from repro.experiments.sweep import (
     SweepPlan,
     SweepSpec,
     resolve_environment,
-    run_sweep,
 )
 from repro.hardware.rssi import RssiEstimator
-from repro.utils.rng import RngLike
 
 
 def _rssi_trial(
@@ -48,13 +46,6 @@ def _rssi_trial(
 def _rssi_value(value: Optional[float]) -> Optional[float]:
     """Adaptive-mean observation: the trial already returns dBm/None."""
     return value
-
-
-def _fingerprint(config: Mapping[str, Any]) -> Dict[str, Any]:
-    return {
-        "packets_per_point": config["packets_per_point"],
-        "distances_m": [float(d) for d in config["distances_m"]],
-    }
 
 
 def _mean_budget(config: Mapping[str, Any]) -> LinkBudget:
@@ -119,8 +110,12 @@ def _reduce_point(reduction: PointReduction) -> Dict[str, Any]:
         "budget_rssi_dbm": estimator.estimate_from_power_dbm(
             meta["mean_rx_dbm"]
         ),
-        "measured_rssi_dbm": float(np.mean(readings)),
-        "fading_spread_db": float(np.max(readings) - np.min(readings)),
+        # A point whose every trial was skipped has no readings: NaN.
+        "measured_rssi_dbm": mean_or_nan(readings),
+        "fading_spread_db": (
+            float(np.max(readings) - np.min(readings))
+            if readings else float("nan")
+        ),
     }
     if reduction.adaptive:
         row["trials_used"] = outcome.trials_used
@@ -141,49 +136,14 @@ SPEC = SweepSpec(
         "distances_m": (1, 2, 3, 4, 5, 6, 7, 8),
         "packets_per_point": 5,
     },
-    fingerprint=_fingerprint,
     plan=_plan,
     context=_context,
     columns=_columns,
     checkpoint_unit="point",
     reduce_point=_reduce_point,
     notes=_notes,
-    scenario=ScenarioSupport(
-        axes=("distances_m", "packets_per_point"),
-        channel="environment",
-    ),
+    scenario=ScenarioSupport(channel="environment"),
 )
 
 
-def run(
-    distances_m: Sequence[float] = (1, 2, 3, 4, 5, 6, 7, 8),
-    packets_per_point: int = 5,
-    rng: RngLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    adaptive: bool = False,
-    rel_precision: float = DEFAULT_REL_PRECISION,
-    max_trials: Optional[int] = None,
-) -> ExperimentResult:
-    """RSSI vs distance, analytic and measured.
-
-    ``checkpoint_dir``/``resume`` persist (and skip) completed distance
-    rows; ``on_error`` selects the engine's trial-failure policy.
-    ``adaptive`` stops each distance point once the measured-RSSI
-    Welford CI reaches ``rel_precision`` relative half-width (cap
-    ``max_trials``), adding ``trials_used`` to each row.
-    """
-    return run_sweep(
-        SPEC,
-        overrides={
-            "distances_m": tuple(distances_m),
-            "packets_per_point": packets_per_point,
-        },
-        rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        adaptive=adaptive, rel_precision=rel_precision,
-        max_trials=max_trials,
-    )
+run = SPEC.run

@@ -18,14 +18,12 @@ with results bit-identical to the serial run at the same seed.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.channel.pathloss import LinkBudget
-from repro.experiments.adaptive import DEFAULT_REL_PRECISION
 from repro.experiments.common import (
-    ExperimentResult,
     packet_delivered,
     prepare_authentic,
     prepare_emulated,
@@ -39,13 +37,11 @@ from repro.experiments.sweep import (
     SweepPlan,
     SweepSpec,
     resolve_environment,
-    run_sweep,
 )
 from repro.hardware.cc26x2 import cc26x2_receiver_config
 from repro.hardware.rssi import RssiEstimator
 from repro.hardware.usrp import usrp_receiver_config
 from repro.link.metrics import ErrorRateAccumulator
-from repro.utils.rng import RngLike
 from repro.zigbee.receiver import ZigBeeReceiver
 
 
@@ -92,13 +88,6 @@ def _link_trial(
 def _packet_error_flag(row: Any) -> bool:
     """Adaptive-rate observation: packet errored (sync losses count)."""
     return bool(row is None or not row[1])
-
-
-def _fingerprint(config: Mapping[str, Any]) -> Dict[str, Any]:
-    return {
-        "trials": config["trials"],
-        "distances_m": [float(d) for d in config["distances_m"]],
-    }
 
 
 def _plan(config: Mapping[str, Any]) -> SweepPlan:
@@ -214,49 +203,14 @@ SPEC = SweepSpec(
         "distances_m": (1, 2, 3, 4, 5, 6, 7, 8),
         "trials": 10,
     },
-    fingerprint=_fingerprint,
     plan=_plan,
     context=_context,
     columns=_columns,
     checkpoint_unit="point",
     reduce_point=_reduce_point,
     notes=_notes,
-    scenario=ScenarioSupport(
-        axes=("distances_m", "trials"),
-        channel="environment",
-    ),
+    scenario=ScenarioSupport(channel="environment"),
 )
 
 
-def run(
-    distances_m: Sequence[float] = (1, 2, 3, 4, 5, 6, 7, 8),
-    trials: int = 10,
-    rng: RngLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    adaptive: bool = False,
-    rel_precision: float = DEFAULT_REL_PRECISION,
-    max_trials: Optional[int] = None,
-) -> ExperimentResult:
-    """Error-rate sweep over distance for both receivers and waveforms.
-
-    ``checkpoint_dir``/``resume`` persist (and skip) each completed
-    (distance, receiver, waveform) cell; ``on_error`` selects the
-    engine's trial-failure policy; ``adaptive`` stops each cell once its packet-error-rate Wilson CI
-    reaches ``rel_precision`` relative half-width (cap ``max_trials``),
-    adding ``trials_used`` and the CI bounds to each row.
-    """
-    return run_sweep(
-        SPEC,
-        overrides={
-            "distances_m": tuple(distances_m),
-            "trials": trials,
-        },
-        rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        adaptive=adaptive, rel_precision=rel_precision,
-        max_trials=max_trials,
-    )
+run = SPEC.run

@@ -8,16 +8,17 @@ cross-cutting machinery — the parallel engine, checkpoint stores,
 batched trials, adaptive precision targeting, and telemetry events —
 was hand-threaded through each driver.  Now a driver declares a
 :class:`SweepSpec` (axis -> :class:`PointSpec`/:class:`StreamSpec`
-plan, context factory, fingerprint, row reduction) and
-:func:`run_sweep` owns ALL of the wiring in exactly one place:
+plan, context factory, row reduction) and :func:`run_sweep` owns ALL
+of the wiring in exactly one place:
 
 * seed-stream discipline: ``spawn_rngs`` slots are allocated by the
   plan so serial == parallel == the adaptive prefix at the same seed,
   and the context is built *after* the streams are spawned;
 * one loop over checkpoint units — a point (``checkpoint_unit=
   "point"``, payload: its row) or a single stream (``"stream"``,
-  payload: its values and stats) — with resume fingerprinting (seed,
-  axis, budgets, adaptive settings, scenario);
+  payload: its values and stats) — with a resume fingerprint derived
+  from the spec's ``defaults`` (seed, axes, budgets, adaptive
+  settings, scenario);
 * sampling: every stream runs through one :class:`AdaptiveSweep`.  A
   fixed run is an adaptive run whose stopping rule never fires and
   whose cap is the budget, so each stream spends its budget in one
@@ -27,8 +28,10 @@ plan, context factory, fingerprint, row reduction) and
 * telemetry: ``declare_trials`` ETA accounting, ``point_started`` /
   ``point_finished`` / ``point_converged`` events.
 
-Scenario files (see ``docs/SCENARIOS.md``) parameterize any registered
-spec from JSON — axis grids, trial counts, channel profile
+A spec's ``defaults`` are its whole config schema: :meth:`SweepSpec.run`
+(each driver's public ``run``) takes them as keywords, the resume
+fingerprint lists them, and scenario files (see ``docs/SCENARIOS.md``)
+may override any of them — alongside channel profile
 (AWGN/Rician/Rayleigh, path-loss exponent), receiver profile, and
 detector settings — so new sweeps need configuration, not new driver
 code.
@@ -92,6 +95,13 @@ SNR_CHANNEL_KEYS = frozenset(
 
 #: ``channel`` keys valid for distance-axis specs (RealEnvironment).
 ENVIRONMENT_CHANNEL_KEYS = SNR_CHANNEL_KEYS | {"path_loss_exponent"}
+
+#: :meth:`SweepSpec.run` keywords passed straight to :func:`run_sweep`;
+#: every other keyword is a config override.
+RUN_OPTIONS = (
+    "rng", "workers", "chunk_size", "on_error", "checkpoint_dir", "resume",
+    "adaptive", "rel_precision", "max_trials",
+)
 
 #: Detector kwargs a scenario may override.
 DETECTOR_OVERRIDE_KEYS = frozenset(
@@ -203,12 +213,14 @@ class SweepReduction:
 
 @dataclass(frozen=True)
 class ScenarioSupport:
-    """Which scenario override groups a spec accepts."""
+    """Which scenario channel/receiver overrides a spec accepts.
 
-    axes: Tuple[str, ...] = ()
+    The overridable axes are the spec's ``defaults`` keys, and detector
+    overrides apply exactly when the spec has a ``detector`` hook.
+    """
+
     channel: Optional[str] = None  # "snr" | "environment" | None
     receiver: bool = False
-    detector: bool = False
 
 
 @dataclass(frozen=True)
@@ -219,10 +231,8 @@ class SweepSpec:
         experiment_id: paper artifact id (checkpoint + event namespace).
         title: :class:`ExperimentResult` title.
         defaults: the experiment's own config defaults; unknown config
-            keys are rejected, so specs double as config schemas.
-        fingerprint: config -> resume-fingerprint fields (the runner
-            adds ``seed``, the adaptive fragment, and the scenario
-            fragment).
+            keys are rejected, so specs double as config schemas.  The
+            resume fingerprint and the scenario axes derive from them.
         plan: config -> :class:`SweepPlan` (pure; draws no randomness).
         context: ``(config, base_rng)`` -> engine context dict.  Called
             *after* the plan's RNG slots are spawned from ``base_rng``,
@@ -239,13 +249,12 @@ class SweepSpec:
             built.
         notes: config -> result notes (threshold calibrations etc. that
             depend on run output go through ``build_rows`` instead).
-        scenario: which scenario override groups apply.
+        scenario: which scenario channel/receiver overrides apply.
     """
 
     experiment_id: str
     title: str
     defaults: Mapping[str, Any]
-    fingerprint: Callable[[Mapping[str, Any]], Dict[str, Any]]
     plan: Callable[[Mapping[str, Any]], SweepPlan]
     context: Callable[[Mapping[str, Any], np.random.Generator], Dict[str, Any]]
     columns: Callable[[Mapping[str, Any], bool], List[str]]
@@ -259,20 +268,45 @@ class SweepSpec:
     def resolve_config(
         self, overrides: Optional[Mapping[str, Any]] = None
     ) -> Dict[str, Any]:
-        """Defaults merged with overrides; unknown keys rejected."""
+        """Defaults merged with overrides; unknown keys rejected.
+
+        An override of a tuple default (an axis grid given as a list, a
+        generator, a JSON array) is made a tuple.
+        """
         config: Dict[str, Any] = dict(self.defaults)
         for key in SCENARIO_CONFIG_KEYS:
             config.setdefault(key, None)
-        if overrides:
-            unknown = set(overrides) - set(config)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown config keys for {self.experiment_id!r}: "
-                    f"{sorted(unknown)}; valid keys: "
-                    f"{sorted(self.defaults)}"
-                )
-            config.update(overrides)
+        overrides = overrides or {}
+        unknown = set(overrides) - set(config)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown config keys for {self.experiment_id!r}: "
+                f"{sorted(unknown)}; valid keys: {sorted(self.defaults)}"
+            )
+        for key, value in overrides.items():
+            if isinstance(self.defaults.get(key), tuple):
+                try:
+                    value = tuple(value)
+                except TypeError:
+                    raise ConfigurationError(
+                        f"{self.experiment_id!r} config key {key!r} takes "
+                        f"a sequence, got {value!r}"
+                    ) from None
+            config[key] = value
         return config
+
+    def run(self, **kwargs: Any) -> ExperimentResult:
+        """Run the sweep: each driver module's public ``run``.
+
+        Keywords named in :data:`RUN_OPTIONS` go to :func:`run_sweep`;
+        every other keyword overrides a ``defaults`` key (unknown keys
+        raise :class:`ConfigurationError`).  Parallel and resumed runs
+        stay bit-identical to serial at the same seed, and ``adaptive``
+        stops each stream at its precision target, adding
+        ``trials_used`` (and, for rate streams, the CI bounds) to rows.
+        """
+        options = {key: kwargs.pop(key) for key in RUN_OPTIONS if key in kwargs}
+        return run_sweep(self, overrides=kwargs, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +466,24 @@ def resolve_environment(
     return RealEnvironment(budget=budget, rng=rng, **kwargs)
 
 
+def config_fingerprint(
+    spec: SweepSpec, config: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """The config part of the resume fingerprint: the ``defaults`` keys.
+
+    A tuple-valued key (an axis grid) becomes a list of floats, so
+    ``(7, 9)`` and ``(7.0, 9.0)`` name the same sweep; every other key
+    is taken as is.
+    """
+    return {
+        key: (
+            [float(value) for value in config[key]]
+            if isinstance(default, tuple) else config[key]
+        )
+        for key, default in spec.defaults.items()
+    }
+
+
 def scenario_fragment(config: Mapping[str, Any]) -> Dict[str, Any]:
     """The scenario part of the resume fingerprint (empty without one)."""
     return {
@@ -492,17 +544,17 @@ def apply_scenario(
 ) -> Dict[str, Any]:
     """Scenario file -> config overrides for :func:`run_sweep`.
 
-    Validates every override group against what the spec declares it
-    supports, so a bad scenario fails before any trial runs.
+    Validates every override group against what the spec supports, so
+    a bad scenario fails before any trial runs.
     """
     support = spec.scenario
     overrides: Dict[str, Any] = {}
     axis_overrides = scenario.get("overrides") or {}
-    unknown = set(axis_overrides) - set(support.axes)
+    unknown = set(axis_overrides) - set(spec.defaults)
     if unknown:
         raise ConfigurationError(
             f"scenario overrides {sorted(unknown)} are not supported by "
-            f"{spec.experiment_id!r}; overridable: {sorted(support.axes)}"
+            f"{spec.experiment_id!r}; overridable: {sorted(spec.defaults)}"
         )
     overrides.update(axis_overrides)
     channel = scenario.get("channel")
@@ -540,7 +592,7 @@ def apply_scenario(
         overrides["receiver_profile"] = profile
     detector = scenario.get("detector")
     if detector is not None:
-        if not support.detector:
+        if spec.detector is None:
             raise ConfigurationError(
                 f"{spec.experiment_id!r} does not support detector overrides"
             )
@@ -635,8 +687,8 @@ def run_sweep(
         on_error: trial-failure policy (``raise``/``retry``/``skip``).
         checkpoint_dir: persist each completed unit atomically.
         resume: serve completed units from ``checkpoint_dir`` (requires
-            an integer seed and a matching fingerprint: same seed, axis,
-            budgets, scenario).
+            an integer seed and a matching fingerprint: same seed,
+            ``defaults`` keys, adaptive settings, scenario).
         adaptive: stop each stream once its declared estimator reaches
             the target relative CI half-width, reallocating saved
             trials to unconverged streams.
@@ -655,6 +707,14 @@ def run_sweep(
             f"{spec.experiment_id!r} declares checkpoint_unit="
             f"{spec.checkpoint_unit!r} but no {reducer}"
         )
+    plan = spec.plan(config)
+    for point in plan.points:
+        for stream in point.streams:
+            if stream.budget < 1:
+                raise ConfigurationError(
+                    f"{spec.experiment_id!r} stream {stream.key!r} has a "
+                    f"budget of {stream.budget} trials; it must be >= 1"
+                )
     seed = _integer_seed(rng)
     if resume and seed is None:
         raise ConfigurationError(
@@ -665,8 +725,11 @@ def run_sweep(
         AdaptiveConfig(rel_precision=rel_precision, max_trials=max_trials)
         if adaptive else None
     )
+    engine = MonteCarloEngine(
+        workers=workers, chunk_size=chunk_size, on_error=on_error
+    )
     fingerprint: Dict[str, Any] = {"seed": seed}
-    fingerprint.update(spec.fingerprint(config))
+    fingerprint.update(config_fingerprint(spec, config))
     scenario = scenario_fragment(config)
     if scenario:
         fingerprint["scenario"] = scenario
@@ -678,7 +741,6 @@ def run_sweep(
         checkpoint_dir, spec.experiment_id,
         fingerprint=fingerprint, resume=resume,
     )
-    plan = spec.plan(config)
     base = ensure_rng(rng)
     rngs = spawn_rngs(base, plan.rng_slots)
     # The context draws (if at all) only after every per-trial stream is
@@ -690,9 +752,6 @@ def run_sweep(
         experiment_id=spec.experiment_id,
         title=spec.title,
         columns=spec.columns(config, adaptive),
-    )
-    engine = MonteCarloEngine(
-        workers=workers, chunk_size=chunk_size, on_error=on_error
     )
     if spec.checkpoint_unit == "point":
         units = list(plan.points)

@@ -10,23 +10,22 @@ Beyond the paper's table, ``screen_defense`` runs the cumulant detector
 over every decoded emulated packet and reports the fraction flagged —
 the "seek" half of the story on the same waveforms, which also exercises
 the defense spans/counters when telemetry is enabled.
+``include_authentic`` adds the authentic-waveform baseline column.
 
-The sweep is declared as :data:`SPEC` and runs on
-:func:`repro.experiments.sweep.run_sweep`, which owns all of the
-engine/checkpoint/adaptive wiring; pass ``workers`` to parallelize
+The sweep is declared as :data:`SPEC`, and ``run`` is ``SPEC.run``:
+:func:`repro.experiments.sweep.run_sweep` owns all of the
+engine/checkpoint/adaptive wiring.  Pass ``workers`` to parallelize
 paper-scale sweeps (results are bit-identical to serial at the same
 seed).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.experiments.adaptive import DEFAULT_REL_PRECISION
 from repro.experiments.common import (
-    ExperimentResult,
     packet_delivered,
     prepare_authentic,
     prepare_emulated,
@@ -43,9 +42,7 @@ from repro.experiments.sweep import (
     resolve_channel_factory,
     resolve_detector,
     resolve_receiver,
-    run_sweep,
 )
-from repro.utils.rng import RngLike
 
 PAPER_SUCCESS_RATES = {7: 0.424, 9: 0.692, 11: 0.874, 13: 0.933, 15: 0.972, 17: 1.0}
 
@@ -104,15 +101,6 @@ def _authentic_trial(
         channel_factory=context.get("channel_factory"),
     )
     return [packet_delivered(prepared, packet) for packet in packets]
-
-
-def _fingerprint(config: Mapping[str, Any]) -> Dict[str, Any]:
-    return {
-        "trials": config["trials"],
-        "snrs_db": [float(snr) for snr in config["snrs_db"]],
-        "include_authentic": config["include_authentic"],
-        "screen_defense": config["screen_defense"],
-    }
 
 
 def _plan(config: Mapping[str, Any]) -> SweepPlan:
@@ -215,7 +203,6 @@ SPEC = SweepSpec(
         "include_authentic": True,
         "screen_defense": True,
     },
-    fingerprint=_fingerprint,
     plan=_plan,
     context=_context,
     columns=_columns,
@@ -223,53 +210,8 @@ SPEC = SweepSpec(
     reduce_point=_reduce_point,
     detector=_detector,
     notes=_notes,
-    scenario=ScenarioSupport(
-        axes=("snrs_db", "trials", "include_authentic", "screen_defense"),
-        channel="snr",
-        receiver=True,
-        detector=True,
-    ),
+    scenario=ScenarioSupport(channel="snr", receiver=True),
 )
 
 
-def run(
-    snrs_db: Sequence[float] = (7, 9, 11, 13, 15, 17),
-    trials: int = 100,
-    include_authentic: bool = True,
-    screen_defense: bool = True,
-    rng: RngLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    adaptive: bool = False,
-    rel_precision: float = DEFAULT_REL_PRECISION,
-    max_trials: Optional[int] = None,
-) -> ExperimentResult:
-    """Sweep attack success rate over SNR (paper: 1000 tx per point).
-
-    ``include_authentic`` adds the authentic-waveform baseline column;
-    ``screen_defense`` runs the cumulant detector over each decoded
-    emulated packet and reports the flagged fraction.  The engine knobs
-    (``workers``/``chunk_size``/``on_error``/``checkpoint_dir``/
-    ``resume``/``adaptive``/``rel_precision``/``max_trials``) are the
-    standard :func:`repro.experiments.sweep.run_sweep` contract:
-    parallel and resumed runs stay bit-identical to the serial
-    fixed-budget rows at the same seed, and ``adaptive`` stops each
-    point at its Wilson-CI precision target, adding ``trials_used`` and
-    the CI bounds to each row.
-    """
-    return run_sweep(
-        SPEC,
-        overrides={
-            "snrs_db": tuple(snrs_db),
-            "trials": trials,
-            "include_authentic": include_authentic,
-            "screen_defense": screen_defense,
-        },
-        rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        adaptive=adaptive, rel_precision=rel_precision,
-        max_trials=max_trials,
-    )
+run = SPEC.run

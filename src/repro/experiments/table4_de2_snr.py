@@ -9,16 +9,11 @@ a gap wide enough for a single threshold.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
-from repro.experiments.adaptive import DEFAULT_REL_PRECISION
-from repro.experiments.common import (
-    ExperimentResult,
-    prepare_authentic,
-    prepare_emulated,
-)
+from repro.experiments.common import prepare_authentic, prepare_emulated
 from repro.experiments.defense_common import (
     _distance_or_none,
     mean_or_nan,
@@ -34,23 +29,13 @@ from repro.experiments.sweep import (
     resolve_channel_factory,
     resolve_detector,
     resolve_receiver,
-    run_sweep,
 )
-from repro.utils.rng import RngLike
 
 PAPER_TABLE4 = {
     7: (0.1546, 1.7140),
     12: (0.0642, 1.6238),
     17: (0.0421, 1.5536),
 }
-
-
-def _fingerprint(config: Mapping[str, Any]) -> Dict[str, Any]:
-    return {
-        "waveforms_per_point": config["waveforms_per_point"],
-        "snrs_db": [float(snr) for snr in config["snrs_db"]],
-        "chip_source": config["chip_source"],
-    }
 
 
 def _plan(config: Mapping[str, Any]) -> SweepPlan:
@@ -139,7 +124,6 @@ SPEC = SweepSpec(
         "waveforms_per_point": 50,
         "chip_source": "quadrature",
     },
-    fingerprint=_fingerprint,
     plan=_plan,
     context=_context,
     columns=_columns,
@@ -147,47 +131,8 @@ SPEC = SweepSpec(
     build_rows=_build_rows,
     detector=resolve_detector,
     notes=_notes,
-    scenario=ScenarioSupport(
-        axes=("snrs_db", "waveforms_per_point", "chip_source"),
-        channel="snr",
-        receiver=True,
-        detector=True,
-    ),
+    scenario=ScenarioSupport(channel="snr", receiver=True),
 )
 
 
-def run(
-    snrs_db: Sequence[float] = (7, 12, 17),
-    waveforms_per_point: int = 50,
-    chip_source: str = "quadrature",
-    rng: RngLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    adaptive: bool = False,
-    rel_precision: float = DEFAULT_REL_PRECISION,
-    max_trials: Optional[int] = None,
-) -> ExperimentResult:
-    """Average D_E^2 per class per SNR (paper: 50 waveforms per cell).
-
-    ``chip_source`` selects the defense chip tap (see
-    ``defense_common``).  The engine knobs follow the standard
-    :func:`repro.experiments.sweep.run_sweep` contract; ``adaptive``
-    stops each (SNR, class) point at its mean-D_E^2 Welford-CI
-    precision target and rows gain ``trials_used`` (summed over the
-    two classes).
-    """
-    return run_sweep(
-        SPEC,
-        overrides={
-            "snrs_db": tuple(snrs_db),
-            "waveforms_per_point": waveforms_per_point,
-            "chip_source": chip_source,
-        },
-        rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        adaptive=adaptive, rel_precision=rel_precision,
-        max_trials=max_trials,
-    )
+run = SPEC.run

@@ -8,6 +8,12 @@ fading, random CFO/phase) reproduces the distance-independent gap; the
 detector uses the |C40| variant exactly as Sec. VI-C prescribes for
 offset channels.
 
+At several metres the in-band SNR drops to single digits, so the
+defense relies on the paper's noise-variance subtraction (Sec. VI-B2)
+over the linear matched-filter chips (``noise_corrected``); without it
+the statistic of *both* classes inflates with distance and the gap
+closes.
+
 Each waveform sample is one engine trial with its own spawned RNG
 stream (channel realization included), so ``workers`` parallelizes the
 sweep with results bit-identical to the serial run at the same seed.
@@ -16,18 +22,13 @@ sweep with results bit-identical to the serial run at the same seed.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.channel.pathloss import LinkBudget
 from repro.errors import SynchronizationError
-from repro.experiments.adaptive import DEFAULT_REL_PRECISION
-from repro.experiments.common import (
-    ExperimentResult,
-    prepare_authentic,
-    prepare_emulated,
-)
+from repro.experiments.common import prepare_authentic, prepare_emulated
 from repro.experiments.defense_common import (
     chip_noise_variance_for,
     extract_chips,
@@ -43,9 +44,7 @@ from repro.experiments.sweep import (
     resolve_detector,
     resolve_environment,
     resolve_receiver,
-    run_sweep,
 )
-from repro.utils.rng import RngLike
 
 PAPER_TABLE5 = {
     1: (0.0004, 1.1426),
@@ -88,15 +87,6 @@ def _distance_trial(
 def _de2_value(value: Optional[float]) -> Optional[float]:
     """Adaptive-mean observation: the trial already returns D_E^2/None."""
     return value
-
-
-def _fingerprint(config: Mapping[str, Any]) -> Dict[str, Any]:
-    return {
-        "waveforms_per_point": config["waveforms_per_point"],
-        "distances_m": [float(d) for d in config["distances_m"]],
-        "chip_source": config["chip_source"],
-        "noise_corrected": config["noise_corrected"],
-    }
 
 
 def _plan(config: Mapping[str, Any]) -> SweepPlan:
@@ -196,7 +186,6 @@ SPEC = SweepSpec(
         "chip_source": "matched_filter",
         "noise_corrected": True,
     },
-    fingerprint=_fingerprint,
     plan=_plan,
     context=_context,
     columns=_columns,
@@ -204,54 +193,8 @@ SPEC = SweepSpec(
     reduce_point=_reduce_point,
     detector=_detector,
     notes=_notes,
-    scenario=ScenarioSupport(
-        axes=("distances_m", "waveforms_per_point", "chip_source",
-              "noise_corrected"),
-        channel="environment",
-        receiver=True,
-        detector=True,
-    ),
+    scenario=ScenarioSupport(channel="environment", receiver=True),
 )
 
 
-def run(
-    distances_m: Sequence[float] = (1, 2, 3, 4, 5, 6),
-    waveforms_per_point: int = 30,
-    chip_source: str = "matched_filter",
-    noise_corrected: bool = True,
-    rng: RngLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    adaptive: bool = False,
-    rel_precision: float = DEFAULT_REL_PRECISION,
-    max_trials: Optional[int] = None,
-) -> ExperimentResult:
-    """Average D_E^2 per class per distance under the real environment.
-
-    At several metres the in-band SNR drops to single digits, so the
-    defense relies on the paper's noise-variance subtraction (Sec. VI-B2)
-    over the linear matched-filter chips; without it the statistic of
-    *both* classes inflates with distance and the gap closes.
-
-    ``checkpoint_dir``/``resume`` persist (and skip) completed distance
-    rows; ``on_error`` selects the engine's trial-failure policy.
-    ``adaptive`` stops each (distance, class) point once its mean-D_E^2
-    Welford CI reaches ``rel_precision`` relative half-width (cap
-    ``max_trials``, default 4x), adding ``trials_used`` to each row.
-    """
-    return run_sweep(
-        SPEC,
-        overrides={
-            "distances_m": tuple(distances_m),
-            "waveforms_per_point": waveforms_per_point,
-            "chip_source": chip_source,
-            "noise_corrected": noise_corrected,
-        },
-        rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        adaptive=adaptive, rel_precision=rel_precision,
-        max_trials=max_trials,
-    )
+run = SPEC.run

@@ -134,6 +134,41 @@ class TestFaultToleranceFlags:
         assert (tmp_path / "ckpt" / "table2" / "meta.json").exists()
 
 
+class TestConfigurationErrors:
+    """A bad engine knob or budget is a usage error: exit 2, one line."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--chunk-size", "0"],
+        ["--workers", "0"],
+        ["--adaptive", "--rel-precision", "-1"],
+        ["--trials", "0"],
+        ["--trials", "-3"],
+    ], ids=["chunk-size-0", "workers-0", "rel-precision-neg", "trials-0",
+            "trials-neg"])
+    def test_exits_2_with_one_error_line(self, flags, tmp_path, capsys):
+        argv = ["run", "table2", "--trials", "2", "--seed", "1"]
+        argv = argv + flags + ["--telemetry", "--runs-dir",
+                               str(tmp_path / "runs")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")]
+        assert "Traceback" not in err
+        from repro.telemetry import RunRegistry
+
+        (run,) = RunRegistry(str(tmp_path / "runs")).list()
+        assert run.read_manifest()["status"] == "error"
+
+    @pytest.mark.parametrize("experiment", ["fig13", "fig14"])
+    def test_zero_trials_is_rejected_before_any_trial(
+        self, experiment, capsys
+    ):
+        assert main(["run", experiment, "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "budget" in captured.err
+        assert captured.out == ""
+
+
 class TestLintSubcommand:
     def test_lint_flags_violations(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "bad.py"

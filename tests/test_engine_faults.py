@@ -1,11 +1,13 @@
 """Engine fault tolerance: isolation, retries, pool-crash recovery."""
 
+import math
 import os
 
 import pytest
 
 from repro.errors import ConfigurationError, TrialExecutionError
 from repro.experiments import engine as engine_module
+from repro.experiments import fig13_rssi
 from repro.experiments.engine import FAULT_EVERY_ENV, MonteCarloEngine
 from repro.telemetry import get_telemetry
 
@@ -183,6 +185,20 @@ class TestRetry:
         finally:
             telemetry.disable()
             telemetry.reset()
+
+
+class TestEmptyPoints:
+    def test_fig13_point_with_every_trial_skipped_is_nan(self, monkeypatch):
+        """Every trial faults and is skipped: the row reports NaN."""
+        monkeypatch.setenv(FAULT_EVERY_ENV, "1")
+        result = fig13_rssi.run(
+            distances_m=(1, 8), packets_per_point=2, rng=1, on_error="skip"
+        )
+        assert [row["distance_m"] for row in result.rows] == [1, 8]
+        for row in result.rows:
+            assert math.isfinite(row["budget_rssi_dbm"])
+            assert math.isnan(row["measured_rssi_dbm"])
+            assert math.isnan(row["fading_spread_db"])
 
 
 class TestPoolCrashRecovery:

@@ -10,9 +10,11 @@ Three contracts are pinned here:
   ``load_scenario``/``apply_scenario`` into ``run_sweep`` and through
   the CLI, with the manifest recording the applied overrides, and
   malformed files failing with exit code 2 before any trial runs.
-* **Capabilities** — the CLI builds runner kwargs from each entry's
-  declared capabilities, rejects undeclared flags for a named
-  experiment, and records exactly one run directory for ``run all``.
+* **Derived from ``defaults``** — ``SPEC.run`` takes exactly the
+  spec's config keys plus the runner options, the resume fingerprint
+  and the scenario axes are derived from ``defaults``, budgets below 1
+  fail before any trial runs, and the CLI accepts the engine flags for
+  a sweep entry and ``--trials`` for an entry with a trial count.
 """
 
 import json
@@ -31,12 +33,14 @@ from repro.experiments import (
     table4_de2_snr,
     table5_de2_distance,
 )
-from repro.experiments.registry import (
-    CAPABILITIES,
-    experiment_ids,
-    get_experiment,
+from repro.experiments.registry import experiment_ids, get_experiment
+from repro.experiments.sweep import (
+    apply_scenario,
+    config_fingerprint,
+    load_scenario,
+    run_sweep,
 )
-from repro.experiments.sweep import apply_scenario, load_scenario, run_sweep
+from repro.telemetry import MemoryEventSink, get_event_stream
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORACLE_DIR = os.path.join(REPO_ROOT, "benchmarks", "baselines", "sweep-oracles")
@@ -276,23 +280,34 @@ class TestScenarioValidation:
 
 
 class TestCapabilityMetadata:
-    def test_every_entry_declares_valid_capabilities(self):
+    def test_sweep_entries_are_built_from_their_spec(self):
         for experiment_id in experiment_ids():
             entry = get_experiment(experiment_id)
-            assert entry.capabilities <= CAPABILITIES
-            if "scenario" in entry.capabilities:
-                assert entry.spec is not None
-                assert entry.spec.experiment_id == experiment_id
+            if entry.spec is None:
+                continue
+            assert entry.spec.experiment_id == experiment_id
+            assert entry.run == entry.spec.run
+            assert entry.trials_param in (None, *entry.spec.defaults)
 
     def test_sweep_drivers_expose_their_specs(self):
         for experiment_id, module in DRIVERS.items():
             entry = get_experiment(experiment_id)
             assert entry.spec is module.SPEC
 
-    def test_undeclared_flag_exits_2_naming_capabilities(self, capsys):
-        assert main(["run", "fig5", "--adaptive"]) == 2
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "fig5", "--adaptive"], "--adaptive"),
+        (["run", "table1", "--workers", "2"], "--workers"),
+        (["run", "fig5", "--trials", "3"], "--trials"),
+        # A sweep with two budgets has no single trial count.
+        (["run", "fig12", "--trials", "3"], "--trials"),
+    ], ids=["fig5-adaptive", "table1-workers", "fig5-trials",
+            "fig12-trials"])
+    def test_unsupported_flag_exits_2_naming_the_flag(
+        self, capsys, argv, flag
+    ):
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "--adaptive" in err and "declared capabilities" in err
+        assert err.startswith("error:") and flag in err
 
     def test_undeclared_scenario_flag_exits_2(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -310,6 +325,108 @@ class TestCapabilityMetadata:
     def test_unknown_experiment_still_raises(self):
         with pytest.raises(ConfigurationError):
             main(["run", "table42"])
+
+
+#: Each spec's resume fingerprint at its defaults, as the per-driver
+#: fingerprint functions wrote it before it was derived from
+#: ``defaults``.  Checkpoint directories written then still resume.
+PINNED_FINGERPRINTS = {
+    "table2": '{"include_authentic": true, "screen_defense": true, '
+              '"snrs_db": [7.0, 9.0, 11.0, 13.0, 15.0, 17.0], "trials": 100}',
+    "table4": '{"chip_source": "quadrature", "snrs_db": [7.0, 12.0, 17.0], '
+              '"waveforms_per_point": 50}',
+    "table5": '{"chip_source": "matched_filter", '
+              '"distances_m": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], '
+              '"noise_corrected": true, "waveforms_per_point": 30}',
+    "fig12": '{"snrs_db": [7.0, 12.0, 17.0], "test_per_class": 25, '
+             '"train_per_class": 25}',
+    "fig13": '{"distances_m": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], '
+             '"packets_per_point": 5}',
+    "fig14": '{"distances_m": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], '
+             '"trials": 10}',
+}
+
+#: The config key holding each spec's (first) per-stream budget.
+BUDGET_KEYS = {
+    "table2": "trials",
+    "table4": "waveforms_per_point",
+    "table5": "waveforms_per_point",
+    "fig12": "train_per_class",
+    "fig13": "packets_per_point",
+    "fig14": "trials",
+}
+
+
+class TestDerivedFromDefaults:
+    @pytest.mark.parametrize("experiment_id", sorted(DRIVERS))
+    def test_default_fingerprint_is_unchanged(self, experiment_id):
+        spec = DRIVERS[experiment_id].SPEC
+        fingerprint = config_fingerprint(spec, spec.resolve_config())
+        assert (json.dumps(fingerprint, sort_keys=True)
+                == PINNED_FINGERPRINTS[experiment_id])
+
+    def test_checkpoint_meta_records_the_derived_fingerprint(self, tmp_path):
+        table2_attack_awgn.run(snrs_db=(9,), trials=2, rng=5,
+                               checkpoint_dir=str(tmp_path))
+        with open(tmp_path / "table2" / "meta.json") as handle:
+            meta = json.load(handle)
+        assert meta["fingerprint"] == {
+            "seed": 5, "snrs_db": [9.0], "trials": 2,
+            "include_authentic": True, "screen_defense": True,
+        }
+
+    @pytest.mark.parametrize("experiment_id", sorted(DRIVERS))
+    def test_unknown_run_keyword_is_a_configuration_error(
+        self, experiment_id
+    ):
+        with pytest.raises(ConfigurationError, match="valid keys"):
+            DRIVERS[experiment_id].run(bogus=1)
+
+    def test_axis_override_is_made_a_tuple(self):
+        expected = table2_attack_awgn.run(snrs_db=(7, 17), trials=4, rng=1)
+        for grid in ([7, 17], iter((7, 17))):
+            result = table2_attack_awgn.run(snrs_db=grid, trials=4, rng=1)
+            assert result.rows == expected.rows
+        config = table2_attack_awgn.SPEC.resolve_config({"snrs_db": [7, 17]})
+        assert config["snrs_db"] == (7, 17)
+
+    def test_scalar_axis_override_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="snrs_db"):
+            table2_attack_awgn.SPEC.resolve_config({"snrs_db": 7})
+
+    @pytest.mark.parametrize("experiment_id", sorted(DRIVERS))
+    def test_scenario_axes_are_the_defaults(self, experiment_id):
+        spec = DRIVERS[experiment_id].SPEC
+        overrides = dict(spec.defaults)
+        scenario = {"experiment": experiment_id, "overrides": overrides}
+        assert apply_scenario(spec, scenario) == overrides
+        detector = dict(scenario, detector={"threshold": 0.5})
+        if spec.detector is None:
+            with pytest.raises(ConfigurationError, match="detector"):
+                apply_scenario(spec, detector)
+        else:
+            applied = apply_scenario(spec, detector)
+            assert applied["detector_overrides"] == {"threshold": 0.5}
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    @pytest.mark.parametrize("experiment_id", sorted(DRIVERS))
+    def test_budget_below_one_fails_before_any_trial(
+        self, experiment_id, budget, tmp_path
+    ):
+        stream = get_event_stream()
+        stream.reset()
+        sink = stream.add_sink(MemoryEventSink())
+        stream.enable()
+        try:
+            with pytest.raises(ConfigurationError, match="budget"):
+                DRIVERS[experiment_id].run(
+                    **{BUDGET_KEYS[experiment_id]: budget}, rng=1,
+                    checkpoint_dir=str(tmp_path),
+                )
+        finally:
+            stream.reset()
+        assert sink.records == []
+        assert not os.listdir(tmp_path)
 
 
 class TestRunAllRecordsOneRunDirectory:

@@ -254,10 +254,28 @@ def polyphase_resample_batch(
     from fractions import Fraction
 
     ratio = Fraction(output_rate_hz / input_rate_hz).limit_denominator(1000)
-    if ratio.numerator > 10_000 or ratio.denominator > 10_000:
+    if not 0 < ratio.numerator <= 10_000 or ratio.denominator > 10_000:
         raise ConfigurationError(
             f"rate ratio {output_rate_hz}/{input_rate_hz} is not a small rational"
         )
+    up, down = ratio.numerator, ratio.denominator
     return sp_signal.resample_poly(
-        array, ratio.numerator, ratio.denominator, axis=-1
+        array, up, down, axis=-1, window=_resample_taps(up, down)
     )
+
+
+@lru_cache(maxsize=8)
+def _resample_taps(up: int, down: int) -> np.ndarray:
+    """Cached design of ``resample_poly``'s default anti-aliasing filter.
+
+    The same ``firwin`` call ``resample_poly`` makes for its default
+    Kaiser window, cast to complex128 as it casts for a complex input,
+    so passing it as ``window=`` gives bit-identical output without a
+    filter design per call.  Read-only; ``resample_poly`` copies it.
+    """
+    max_rate = max(up, down)
+    taps = sp_signal.firwin(
+        20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0)
+    ).astype(np.complex128)
+    taps.setflags(write=False)
+    return taps

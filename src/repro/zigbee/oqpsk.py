@@ -150,9 +150,11 @@ class OqpskDemodulator:
 
         Returns ``(soft, hard)`` arrays of shape (batch, num_chips).  The
         matched-filter pair products accumulate column-by-column in index
-        order and the phase loop iterates over chip pairs operating on
-        whole-batch vectors, so each row is bit-identical to demodulating
-        that row alone — the scalar path delegates here with one row.
+        order and the phase loop runs each row's recursion on its own, so
+        each row is bit-identical to demodulating that row alone — the
+        scalar path delegates here with one row.  With phase tracking, a
+        non-finite matched-filter output fails closed: its own soft chip
+        and every soft chip of the pairs after it are non-finite.
         """
         waveforms = np.asarray(waveforms, dtype=np.complex128)
         if waveforms.ndim != 2:
@@ -193,53 +195,52 @@ class OqpskDemodulator:
             soft = soft / self._pulse_energy
             return soft, (soft > 0).astype(np.uint8)
 
-        # Decision-directed phase loop: the recursion over chip pairs is
-        # inherently sequential, so each step works on both rails of the
-        # whole batch at once, in buffers allocated up front.  Keep each
-        # floating-point operation the ufunc, operand order and memory
-        # layout it is: the sweep oracles pin numpy's kernels, NaN signs
-        # included (strided and contiguous complex multiplies differ
-        # there), and tests compare bits against a reference loop.
-        rails = np.stack((z_i, z_q))
-        chips = np.empty((pairs, 2, batch), dtype=np.float64)
-        pair_rails = np.empty((2, batch), dtype=np.complex128)
-        real_i = pair_rails[0].real
-        imag_q = pair_rails[1].imag
-        theta = np.zeros(batch, dtype=np.float64)
-        unrotated = np.ones(batch, dtype=np.complex128)
-        for pair in range(pairs):
-            # A zero theta rotates by exactly 1+0j, not exp(-0j) = 1-0j.
-            moved = np.count_nonzero(theta)
-            if moved == 0:
-                rotation = unrotated
-            elif moved == batch:
-                rotation = np.exp(-1j * theta)
-            else:
-                rotation = np.where(
-                    theta == 0.0, 1.0 + 0.0j, np.exp(-1j * theta)
-                )
-            np.multiply(rails[:, :, pair], rotation, out=pair_rails)
-            soft_pair = chips[pair]
-            soft_pair[0] = real_i
-            soft_pair[1] = imag_q
-            # Ideal pair_i is +/-E on the real axis; ideal pair_q is
-            # +/-jE and is rotated onto the real axis first.  Each is
-            # folded by its decision sign (+1 for a zero) as a complex
-            # multiply, which turns an infinite part into NaN; folding
-            # the parts by a real sign would leave it finite.
-            sign = np.where(soft_pair < 0.0, -1.0 + 0.0j, 1.0 + 0.0j)
-            use = np.abs(pair_rails) > 1e-12
-            pair_rails[1] *= -1j
-            pair_rails *= sign
-            error = np.where(
-                use, np.arctan2(pair_rails.imag, pair_rails.real), 0.0
-            )
-            # With no usable rail the error is +0.0 and theta (never
-            # -0.0) stays put, so no final select is needed.
-            theta = theta + loop_gain * (error[0] + error[1]) / np.where(
-                use[0] & use[1], 2.0, 1.0
-            )
-        soft = chips.transpose(2, 0, 1).reshape(batch, num_chips)
+        # Decision-directed phase loop.  Rotating a rail by exp(-j*theta),
+        # folding it by its decision sign and taking its angle is the same
+        # as wrapping (decision angle - theta) into [-pi/2, pi/2), where
+        # the decision angle is angle(z_i) on the in-phase rail and
+        # angle(z_q) - pi/2 on the quadrature rail (ideal value +/-jE).
+        # Both are stored shifted by +pi/2, so the wrap of x is x % pi less
+        # pi/2.  A rail is used when it carries signal (|z| > 1e-12) or is
+        # non-finite; a non-finite rail has angle NaN and so poisons theta
+        # and every chip pair after it.  A pair with one used rail takes
+        # that rail's angle for both, so every step is theta +=
+        # g/2 * (e_i + e_q), and a pair with none has gain 0.
+        finite_i = np.isfinite(z_i)
+        finite_q = np.isfinite(z_q)
+        use_i = (np.abs(z_i) > 1e-12) | ~finite_i
+        use_q = (np.abs(z_q) > 1e-12) | ~finite_q
+        angle_i = np.where(finite_i, np.angle(z_i) + 0.5 * np.pi, np.nan)
+        angle_q = np.where(finite_q, np.angle(z_q), np.nan)
+        angle_i, angle_q = (
+            np.where(use_i, angle_i, angle_q),
+            np.where(use_q, angle_q, angle_i),
+        )
+        gain = np.where(use_i | use_q, 0.5 * loop_gain, 0.0)
+        # The recursion is sequential in the pairs, so it runs one row at
+        # a time in plain Python floats (IEEE arithmetic and fmod, the
+        # same on every host); each row's theta depends on that row alone.
+        # Iterating a row's memoryview yields Python floats one at a time,
+        # so no per-row list is built for the inputs.
+        theta = np.empty((batch, pairs), dtype=np.float64)
+        pi = np.pi
+        for row in range(batch):
+            step = 0.0
+            steps = []
+            for a, b, g in zip(
+                memoryview(angle_i[row]),
+                memoryview(angle_q[row]),
+                memoryview(gain[row]),
+            ):
+                steps.append(step)
+                step += g * ((a - step) % pi + (b - step) % pi - pi)
+            theta[row] = steps
+        del angle_i, angle_q, gain  # freed before the rotation's temporaries
+        # A zero theta rotates by exactly 1+0j, not exp(-0j) = 1-0j, so
+        # chips before theta first moves are the plain matched filter's.
+        rotation = np.where(theta == 0.0, 1.0 + 0.0j, np.exp(-1j * theta))
+        soft[:, 0::2] = (z_i * rotation).real
+        soft[:, 1::2] = (z_q * rotation).imag
         soft = soft / self._pulse_energy
         return soft, (soft > 0).astype(np.uint8)
 

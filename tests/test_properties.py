@@ -11,8 +11,9 @@ from repro.attack.emulator import WaveformEmulationAttack
 from repro.defense.constellation import reconstruct_constellation
 from repro.defense.detector import CumulantDetector
 from repro.defense.moments import estimate_cumulants
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DecodingError
 from repro.experiments.sweep import load_scenario
+from repro.zigbee.oqpsk import OqpskDemodulator
 from repro.zigbee.receiver import ZigBeeReceiver
 from repro.zigbee.transmitter import ZigBeeTransmitter
 
@@ -233,3 +234,79 @@ class TestScenarioFileFuzz:
         assert isinstance(scenario, dict)
         assert isinstance(scenario["experiment"], str)
         assert scenario["experiment"]
+
+
+_moderate_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 1e-300])
+_non_finite_values = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_hostile_values = (
+    _moderate_values | st.sampled_from([1e308, -1e308]) | _non_finite_values
+)
+
+
+@st.composite
+def _hostile_batches(draw):
+    """A (batch, n) complex stack and a requested chip count.
+
+    Rows are empty, shorter than one chip pair, all-zero, constant,
+    +/-1e308, or a mix of finite and NaN/inf samples; the chip count is
+    usually the capacity and sometimes odd, negative or too large.
+    """
+    batch = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["zeros", "constant", "huge", "mixed"]))
+    if kind == "zeros":
+        rows = np.zeros((batch, n), dtype=np.complex128)
+    elif kind == "constant":
+        value = complex(draw(_hostile_values), draw(_hostile_values))
+        rows = np.full((batch, n), value, dtype=np.complex128)
+    elif kind == "huge":
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]),
+                              min_size=2 * batch * n, max_size=2 * batch * n))
+        parts = 1e308 * np.array(signs).reshape(2, batch, n)
+        rows = parts[0] + 1j * parts[1]
+    else:
+        values = draw(st.lists(_moderate_values,
+                               min_size=2 * batch * n, max_size=2 * batch * n))
+        parts = np.array(values, dtype=np.float64).reshape(2, -1)
+        if parts.size:
+            spikes = draw(st.lists(
+                st.tuples(st.integers(0, parts.size - 1), _non_finite_values),
+                max_size=3,
+            ))
+            for index, value in spikes:
+                parts.flat[index] = value
+        rows = np.empty((batch, n), dtype=np.complex128)
+        rows.real, rows.imag = parts.reshape(2, batch, n)
+    capacity = OqpskDemodulator(2).capacity(n)
+    num_chips = draw(st.just(capacity) | st.integers(-2, capacity + 4))
+    return rows, num_chips
+
+
+class TestDemodulatorFailsClosed:
+    @settings(max_examples=150, deadline=2000)
+    @given(_hostile_batches())
+    def test_hostile_batches_give_shaped_chips_or_a_typed_error(self, case):
+        """Shaped output or a typed failure, and no finite chip after a
+        non-finite sample reaches the matched filter."""
+        rows, num_chips = case
+        demod = OqpskDemodulator(2)
+        sps = demod.samples_per_chip
+        window = 2 * sps
+        try:
+            with np.errstate(all="ignore"):
+                soft, hard = demod.demodulate_batch(rows, num_chips)
+        except (ConfigurationError, DecodingError):
+            return
+        assert soft.shape == hard.shape == (len(rows), num_chips)
+        assert np.array_equal(hard, (soft > 0).astype(np.uint8))
+        finite = np.isfinite(rows)
+        for row_finite, chips in zip(finite, soft):
+            for pair in range(num_chips // 2):
+                start = pair * window
+                bad_i = not row_finite[start : start + window].all()
+                bad_q = not row_finite[start + sps : start + sps + window].all()
+                if bad_i or bad_q:
+                    assert not (bad_i and np.isfinite(chips[2 * pair]))
+                    assert not (bad_q and np.isfinite(chips[2 * pair + 1]))
+                    assert not np.isfinite(chips[2 * pair + 2 :]).any()
+                    break

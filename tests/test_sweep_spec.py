@@ -98,7 +98,7 @@ class TestOracleParity:
         assert result.columns == oracle["columns"]
         assert result_cells(result, oracle["columns"]) == oracle["rows"]
 
-    @pytest.mark.parametrize("experiment_id", ["table2", "table4"])
+    @pytest.mark.parametrize("experiment_id", ["table2", "table4", "table5"])
     def test_parallel_rows_match_oracle(self, experiment_id):
         oracle = load_oracle(experiment_id, "fixed")
         result = run_from_oracle(experiment_id, oracle, workers=2)

@@ -10,9 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.attack import WaveformEmulationAttack
+from repro.attack import EmulationConfig, WaveformEmulationAttack, optimize_scale
+from repro.attack.interpolate import spectrum_table
 from repro.defense import CumulantDetector
 from repro.experiments.common import build_observed_waveform
+from repro.wifi.qam import modulation_for_name
 from repro.wifi.convcode import decode_with_rate, encode_with_rate
 from repro.zigbee.receiver import ZigBeeReceiver
 from repro.zigbee.transmitter import ZigBeeTransmitter
@@ -40,6 +42,20 @@ def test_bench_emulation_attack(benchmark, observed):
     attack = WaveformEmulationAttack()
     result = benchmark(lambda: attack.emulate(observed.waveform))
     assert result.scale > 0
+
+
+def test_bench_optimize_scale(benchmark):
+    """The global search for the 64-QAM scale alpha (Sec. V-A3) at its
+    pinned input: the 1,239 frequency points of the default frame."""
+    emulation = WaveformEmulationAttack(EmulationConfig(quantize=False)).emulate(
+        build_observed_waveform().waveform
+    )
+    points = spectrum_table(emulation.chunks)[:, emulation.selection.indexes]
+    points = points.reshape(-1)
+    assert points.size == 1239
+    modulation = modulation_for_name("64qam")
+    scale = benchmark(lambda: optimize_scale(points, modulation))
+    assert scale == 33.573709006115735
 
 
 def test_bench_detector_statistic(benchmark):

@@ -245,7 +245,7 @@ class CumulantDetector:
                 if variance is None:
                     effective[position] = self.noise_variance
                     continue
-                if variance < 0:
+                if not variance >= 0:  # NaN too
                     raise ConfigurationError("chip_noise_variance must be >= 0")
                 # A constellation point is a unitary combination of two
                 # chips, so its noise power equals the per-chip noise

@@ -413,6 +413,8 @@ class ZigBeeReceiver:
                 f"batch waveforms must be 2-D, got shape {samples.shape}"
             )
         batch = samples.shape[0]
+        if samples.size == 0:
+            return [None] * batch
         with telemetry.span("zigbee.channelize"):
             baseband = self._channelize_batch(samples, sample_rate_hz)
         with telemetry.span("zigbee.sync"):
@@ -487,7 +489,12 @@ class ZigBeeReceiver:
         noise: Optional[np.ndarray] = None
         if start >= min_noise_samples:
             noise = np.mean(np.abs(group[:, :start]) ** 2, axis=-1)
+        # Non-finite chips or noise floor (NaN samples, overflow) fail closed.
+        finite = np.isfinite(soft).all(axis=-1) & np.isfinite(quad_soft).all(axis=-1)
+        finite &= np.isfinite(noise) if noise is not None else True
         for position, row in enumerate(rows):
+            if not finite[position]:
+                continue
             diagnostics = ReceiveDiagnostics(
                 sync=syncs[row],
                 soft_chips=soft[position],

@@ -170,3 +170,33 @@ class TestQuantization:
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             quantize_points(np.zeros(0, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_points_fail_closed(self, bad):
+        """NaN points used to return alpha = 0 with a NaN error."""
+        points = np.array([1.0 + 1.0j, bad, 0.5 - 0.5j])
+        modulation = modulation_for_name("64qam")
+        with pytest.raises(ConfigurationError, match="finite"):
+            optimize_scale(points, modulation)
+        with pytest.raises(ConfigurationError, match="finite"):
+            quantize_points(points)
+        with pytest.raises(ConfigurationError, match="finite"):
+            quantize_points(points, scale=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_scale_fails_closed(self, bad):
+        """``scale=nan`` used to return NaN quantized points."""
+        points = np.array([1.0 + 1.0j, 0.5 - 0.5j])
+        modulation = modulation_for_name("64qam")
+        with pytest.raises(ConfigurationError, match="scale"):
+            quantization_error(points, modulation, bad)
+        with pytest.raises(ConfigurationError, match="scale"):
+            quantize_points(points, scale=bad)
+
+    def test_far_point_checks_every_constellation_point(self):
+        """About 1e15 level steps out, the 2x2 bracket alone is one ulp
+        too large here; the kernel must still match the full search."""
+        modulation = modulation_for_name("64qam")
+        points = np.array([-3619966559e6 + 1337595830e6j])
+        full = np.min(np.abs(points[:, None] - modulation.constellation()))
+        assert quantization_error(points, modulation, 1.0) == full**2

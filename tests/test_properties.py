@@ -4,17 +4,22 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.attack.emulator import WaveformEmulationAttack
+from repro.attack.emulator import EmulationConfig, WaveformEmulationAttack
+from repro.attack.interpolate import spectrum_table
+from repro.attack.quantize import optimize_scale, quantization_errors
 from repro.defense.constellation import reconstruct_constellation
 from repro.defense.detector import CumulantDetector
 from repro.defense.moments import estimate_cumulants
-from repro.errors import ConfigurationError, DecodingError
+from repro.errors import ConfigurationError, DecodingError, SynchronizationError
+from repro.experiments.common import build_observed_waveform
 from repro.experiments.sweep import load_scenario
+from repro.wifi.qam import modulation_for_name
 from repro.zigbee.oqpsk import OqpskDemodulator
 from repro.zigbee.receiver import ZigBeeReceiver
+from repro.zigbee.synchronizer import Synchronizer
 from repro.zigbee.transmitter import ZigBeeTransmitter
 
 payloads = st.binary(min_size=1, max_size=40)
@@ -310,3 +315,161 @@ class TestDemodulatorFailsClosed:
                     assert not (bad_q and np.isfinite(chips[2 * pair + 1]))
                     assert not np.isfinite(chips[2 * pair + 2 :]).any()
                     break
+
+
+_HOSTILE_FRAME = ZigBeeTransmitter().transmit_payload(b"hostile").waveform.samples
+
+
+@st.composite
+def _hostile_captures(draw):
+    """A hostile (batch, n) capture for the receive chain.
+
+    The rows of :func:`_hostile_batches` as drawn (shorter than the SHR),
+    cycled to an authentic frame's length, or cycled and laid over that
+    frame, so that rows with a real frame in them reach demodulation.
+    """
+    rows, _ = draw(_hostile_batches())
+    layout = draw(st.sampled_from(["short", "cycled", "over_frame"]))
+    if layout == "short":
+        return rows
+    cycled = np.resize(rows, (len(rows), _HOSTILE_FRAME.size))
+    if layout == "cycled":
+        return cycled
+    with np.errstate(all="ignore"):
+        return cycled + _HOSTILE_FRAME
+
+
+def _assert_finite_sync(sync):
+    assert np.isfinite([sync.phase_rad, sync.cfo_hz, sync.correlation]).all()
+
+
+class TestReceiveChainFailsClosed:
+    """Hostile captures give ``None`` rows or a typed failure: never a
+    stray exception and never a row that carries a NaN."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _hostile_captures(),
+        st.sampled_from([4e6, 20e6]),
+        st.sampled_from([None, 0, 100]),
+    )
+    def test_receive_batch(self, captures, sample_rate_hz, known_start):
+        receiver = ZigBeeReceiver()
+        try:
+            with np.errstate(all="ignore"):
+                packets = receiver.receive_batch(
+                    captures, sample_rate_hz, known_start=known_start
+                )
+        except (SynchronizationError, ConfigurationError):
+            return
+        assert len(packets) == len(captures)
+        for packet in packets:
+            if packet is None:
+                continue
+            _assert_finite_sync(packet.diagnostics.sync)
+            assert np.isfinite(packet.diagnostics.soft_chips).all()
+            assert np.isfinite(packet.diagnostics.quadrature_soft_chips).all()
+            if packet.diagnostics.noise_variance is not None:
+                assert np.isfinite(packet.diagnostics.noise_variance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_hostile_captures())
+    def test_synchronize_batch(self, captures):
+        try:
+            with np.errstate(all="ignore"):
+                syncs = Synchronizer().synchronize_batch(captures)
+        except (SynchronizationError, ConfigurationError):
+            return
+        assert len(syncs) == len(captures)
+        for sync in syncs:
+            if sync is not None:
+                _assert_finite_sync(sync)
+                assert 0 <= sync.start_index < captures.shape[1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _hostile_batches(),
+        st.sampled_from([1, 16]),
+        st.sampled_from([None, 0.0, 0.1, -1.0, float("nan"), float("inf")]),
+    )
+    def test_statistic_batch(self, case, repeats, variance):
+        rows, _ = case
+        chips = np.tile(rows.real, (1, repeats))
+        variances = None if variance is None else [variance] * len(chips)
+        try:
+            with np.errstate(all="ignore"):
+                results = CumulantDetector().statistic_batch(chips, variances)
+        except ConfigurationError:
+            return
+        assert len(results) == len(chips)
+        for result in results:
+            assert np.isfinite(result.distance_squared)
+            assert np.isfinite(result.feature).all()
+
+
+def _full_search_errors(points, modulation, scales):
+    """The reference: every point against all constellation points."""
+    errors = []
+    for scale in scales:
+        table = modulation.constellation() * float(scale)
+        distances = np.abs(points[:, None] - table[None, :])
+        errors.append(np.sum(np.min(distances, axis=1) ** 2))
+    return np.array(errors)
+
+
+_QAM_NAMES = ["bpsk", "qpsk", "16qam", "64qam"]
+_quantization_scales = (
+    st.sampled_from([0.0, 1e-300, 5e-324, 1e300, 1.7e308])
+    | st.floats(0.0, 1e300)
+    | st.floats(1e-3, 1e3)
+)
+
+
+@st.composite
+def _quantization_cases(draw):
+    """A modulation, up to 25 scales (more than two blocks) and points
+    that sit at random, 1e3 to 1e18 levels outside the first scale's
+    grid, or exactly on one of its levels or midpoints."""
+    modulation = modulation_for_name(draw(st.sampled_from(_QAM_NAMES)))
+    scales = draw(st.lists(_quantization_scales, min_size=1, max_size=25))
+    levels = np.unique(modulation.constellation().real)
+    marks = np.concatenate([levels, (levels[1:] + levels[:-1]) / 2])
+    anchor = scales[0]
+    in_steps = (
+        st.sampled_from(list(marks)) | st.floats(1e3, 1e18) | st.floats(-1e18, -1e3)
+    )
+    coordinate = (
+        st.floats(-10.0, 10.0)
+        | st.floats(-1e300, 1e300)
+        | in_steps.map(lambda c: c * anchor)
+    )
+    parts = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30))
+    points = np.array([complex(re, im) for re, im in parts])
+    assume(np.isfinite(points).all())
+    return modulation, points, np.array(scales)
+
+
+def _default_frame_points():
+    """The 1,239 frequency points the attack quantizes for the default frame."""
+    result = WaveformEmulationAttack(EmulationConfig(quantize=False)).emulate(
+        build_observed_waveform().waveform
+    )
+    return spectrum_table(result.chunks)[:, result.selection.indexes].reshape(-1)
+
+
+class TestQuantizationKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_quantization_cases())
+    def test_bracket_kernel_equals_the_full_search(self, case):
+        """Exactly equal, not approximately: the kernel only skips points
+        that cannot be nearest, so every minimum and sum is unchanged."""
+        modulation, points, scales = case
+        with np.errstate(all="ignore"):
+            expected = _full_search_errors(points, modulation, scales)
+            errors = quantization_errors(points, modulation, scales)
+        assert errors.tolist() == expected.tolist()
+
+    def test_default_frame_alpha_is_pinned(self):
+        points = _default_frame_points()
+        assert points.size == 1239
+        assert optimize_scale(points, modulation_for_name("64qam")) == 33.573709006115735

@@ -162,3 +162,38 @@ class TestNonFiniteInput:
         with np.errstate(over="ignore"):
             with pytest.raises(ConfigurationError, match="overflows"):
                 detector.statistic(np.tile([1e200, -1e200], 64))
+
+    def test_detector_rejects_a_nan_noise_variance(self):
+        from repro.defense.detector import CumulantDetector
+        from repro.errors import ConfigurationError
+
+        rng = np.random.default_rng(0)
+        chips = np.tile([1.0, -1.0], 64) + 0.1 * rng.standard_normal(128)
+        detector = CumulantDetector()
+        with pytest.raises(ConfigurationError, match="chip_noise_variance"):
+            detector.statistic_batch([chips, chips], [0.01, np.nan])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_genie_timed_rows_with_non_finite_chips_are_dropped(self, bad):
+        """With ``known_start`` no sync runs, so the chips themselves
+        must fail closed; the clean row is untouched."""
+        receiver = ZigBeeReceiver()
+        clean = ZigBeeTransmitter().transmit_payload(b"genie").waveform
+        broken = clean.samples.copy()
+        broken[1000] = bad
+        packets = receiver.receive_batch(
+            np.stack([broken, clean.samples]), clean.sample_rate_hz, known_start=0
+        )
+        alone = receiver.receive_batch(
+            clean.samples[np.newaxis, :], clean.sample_rate_hz, known_start=0
+        )
+        assert packets[0] is None
+        assert packets[1].psdu == alone[0].psdu
+        assert np.array_equal(
+            packets[1].diagnostics.soft_chips, alone[0].diagnostics.soft_chips
+        )
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 100), (3, 0)])
+    def test_empty_captures_yield_no_packets(self, shape):
+        packets = ZigBeeReceiver().receive_batch(np.zeros(shape, complex), 20e6)
+        assert packets == [None] * shape[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.channel.base import Channel
 from repro.errors import ConfigurationError
@@ -104,5 +103,6 @@ class MultipathChannel(Channel):
         self.taps = tap_array / np.sqrt(np.sum(np.abs(tap_array) ** 2))
 
     def apply(self, waveform: Waveform) -> Waveform:
+        from scipy import signal as sp_signal
         convolved = sp_signal.lfilter(self.taps, [1.0], waveform.samples)
         return waveform.with_samples(convolved)

@@ -3,6 +3,8 @@
 A waveform in this package is a 1-D ``numpy.complex128`` array together with
 its sample rate.  :class:`Waveform` bundles the two so that rate mismatches
 become explicit errors instead of silent corruption.
+
+``scipy.signal`` is imported where it is called: unfiltered sweeps never load it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.errors import ConfigurationError
 
@@ -186,6 +187,7 @@ def lowpass_taps(
         )
     if num_taps < 3 or num_taps % 2 == 0:
         raise ConfigurationError("num_taps must be an odd integer >= 3")
+    from scipy import signal as sp_signal
     taps = sp_signal.firwin(num_taps, cutoff_hz, fs=sample_rate_hz)
     taps.setflags(write=False)
     return taps
@@ -230,6 +232,7 @@ def lowpass_filter_batch(
         [array, np.zeros((array.shape[0], num_taps // 2), dtype=np.complex128)],
         axis=1,
     )
+    from scipy import signal as sp_signal
     filtered = sp_signal.lfilter(taps, [1.0], padded, axis=-1)
     return filtered[:, num_taps // 2:]
 
@@ -253,6 +256,7 @@ def polyphase_resample_batch(
         return array.copy()
     from fractions import Fraction
 
+    from scipy import signal as sp_signal
     ratio = Fraction(output_rate_hz / input_rate_hz).limit_denominator(1000)
     if not 0 < ratio.numerator <= 10_000 or ratio.denominator > 10_000:
         raise ConfigurationError(
@@ -273,6 +277,7 @@ def _resample_taps(up: int, down: int) -> np.ndarray:
     so passing it as ``window=`` gives bit-identical output without a
     filter design per call.  Read-only; ``resample_poly`` copies it.
     """
+    from scipy import signal as sp_signal
     max_rate = max(up, down)
     taps = sp_signal.firwin(
         20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.errors import ConfigurationError
 from repro.utils.signal_ops import Waveform
@@ -74,6 +73,7 @@ def welch_psd(waveform: Waveform, segment_length: int = 256) -> PowerSpectrum:
             f"waveform of {samples.size} samples shorter than one "
             f"{segment_length}-sample segment"
         )
+    from scipy import signal as sp_signal
     frequencies, psd = sp_signal.welch(
         samples,
         fs=waveform.sample_rate_hz,

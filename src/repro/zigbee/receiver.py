@@ -463,7 +463,9 @@ class ZigBeeReceiver:
                 + phase[:, np.newaxis]
             )
         )
-        aligned = group[:, start:] * correction
+        # Non-finite rows are dropped below, after demodulation.
+        with np.errstate(invalid="ignore", over="ignore"):
+            aligned = group[:, start:] * correction
 
         capacity = self._demodulator.capacity(aligned_len)
         target = (capacity // CHIPS_PER_SYMBOL) * CHIPS_PER_SYMBOL

@@ -17,17 +17,37 @@ scalar synchronization are bit-identical by construction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from repro.errors import ConfigurationError, SynchronizationError
 from repro.utils.signal_ops import Waveform
 from repro.zigbee.constants import DEFAULT_SAMPLES_PER_CHIP, PREAMBLE_BYTES, SFD_BYTE
 from repro.zigbee.frame import bytes_to_symbols
+
+
+@lru_cache(maxsize=None)
+def _smooth_lengths(bits: int) -> Tuple[int, ...]:
+    """Sorted 2·3·5·7·11-smooth integers up to ``2**bits``."""
+    lengths = [1]
+    for prime in (2, 3, 5, 7, 11):
+        lengths = [m * prime**k for m in lengths for k in range(bits + 1)
+                   if m * prime**k <= 1 << bits]
+    return tuple(sorted(lengths))
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 2·3·5·7·11-smooth length >= ``n`` (``n >= 1``).
+
+    pocketfft's ``good_size`` for complex input, and so equal to
+    ``scipy.fft.next_fast_len(n)``, without importing SciPy.
+    """
+    lengths = _smooth_lengths((n - 1).bit_length())
+    return lengths[bisect_left(lengths, n)]
 
 
 @lru_cache(maxsize=4)
@@ -115,10 +135,12 @@ class Synchronizer:
         m = self._template.size
         nfft = next_fast_len(n)
         spectrum = _template_spectrum(self.samples_per_chip, nfft)
-        correlation = np.fft.ifft(
-            np.fft.fft(samples, nfft, axis=-1) * spectrum[np.newaxis, :],
-            axis=-1,
-        )
+        # A non-finite sample spreads over its row; the caller rejects it.
+        with np.errstate(invalid="ignore", over="ignore"):
+            correlation = np.fft.ifft(
+                np.fft.fft(samples, nfft, axis=-1) * spectrum[np.newaxis, :],
+                axis=-1,
+            )
         return correlation[:, : n - m + 1]
 
     def synchronize(self, waveform: Waveform) -> SyncResult:
@@ -240,10 +262,11 @@ class Synchronizer:
         )
         head = np.conj(self._template[:half])[np.newaxis, :]
         tail = np.conj(self._template[half : 2 * half])[np.newaxis, :]
-        first = np.sum(head * received[:, :half], axis=-1)
-        second = np.sum(tail * received[:, half : 2 * half], axis=-1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            first = np.sum(head * received[:, :half], axis=-1)
+            second = np.sum(tail * received[:, half : 2 * half], axis=-1)
+            phase_step = np.angle(second * np.conj(first))
         valid = usable & (np.abs(first) != 0.0) & (np.abs(second) != 0.0)
-        phase_step = np.angle(second * np.conj(first))
         estimate = phase_step / (2.0 * np.pi * half / self.sample_rate_hz)
         cfo[valid] = estimate[valid]
         return cfo

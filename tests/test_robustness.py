@@ -119,8 +119,10 @@ class TestAttackRobustness:
         assert np.isfinite(result.distance_squared)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteInput:
-    """A NaN or inf sample fails closed instead of yielding a NaN row."""
+    """A NaN or inf sample fails closed instead of yielding a NaN row,
+    and without leaking a numpy ``RuntimeWarning`` on the way."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_sync_rejects_a_non_finite_capture(self, bad, emulated_link):

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SynchronizationError
 from repro.utils.signal_ops import Waveform, frequency_shift
-from repro.zigbee.synchronizer import Synchronizer, apply_corrections
+from repro.zigbee.synchronizer import (
+    Synchronizer,
+    apply_corrections,
+    next_fast_len,
+)
 from repro.zigbee.transmitter import ZigBeeTransmitter
 
 
@@ -78,3 +84,24 @@ class TestApplyCorrections:
         corrected = apply_corrections(rotated, sync)
         n = len(frame_waveform)
         assert np.allclose(corrected[:n], frame_waveform.samples, atol=0.05)
+
+
+class TestNextFastLen:
+    """The SciPy-free FFT length picks the same ``nfft`` SciPy would, so
+    every correlation bit is unchanged."""
+
+    def test_matches_scipy_for_every_length_up_to_2_17(self):
+        from scipy.fft import next_fast_len as scipy_next_fast_len
+
+        mismatches = [
+            n for n in range(1, 2**17 + 1)
+            if next_fast_len(n) != scipy_next_fast_len(n)
+        ]
+        assert mismatches == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=2**24))
+    def test_matches_scipy_up_to_2_24(self, n):
+        from scipy.fft import next_fast_len as scipy_next_fast_len
+
+        assert next_fast_len(n) == scipy_next_fast_len(n)

@@ -14,6 +14,7 @@ from repro.attack import EmulationConfig, WaveformEmulationAttack, optimize_scal
 from repro.attack.interpolate import spectrum_table
 from repro.defense import CumulantDetector
 from repro.experiments.common import build_observed_waveform
+from repro.utils.signal_ops import channelize_batch
 from repro.wifi.qam import modulation_for_name
 from repro.wifi.convcode import decode_with_rate, encode_with_rate
 from repro.zigbee.receiver import ZigBeeReceiver
@@ -78,6 +79,18 @@ def test_bench_zigbee_receive_batch(benchmark, observed):
         )
     )
     assert all(packet is not None and packet.fcs_ok for packet in packets)
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+def test_bench_channelize(benchmark, rows):
+    """The receiver's 2 MHz channel filter and 20 -> 4 Msps decimation at
+    the emulated frame's on-air length, 14,670 samples at 20 Msps."""
+    rng = np.random.default_rng(0)
+    stacked = rng.standard_normal((rows, 14_670)) + 1j * rng.standard_normal(
+        (rows, 14_670)
+    )
+    baseband = benchmark(lambda: channelize_batch(stacked, 1.5e6, 20e6, 4e6))
+    assert baseband.shape == (rows, 2934)
 
 
 def test_bench_detector_statistic_batch(benchmark):

@@ -4,14 +4,16 @@ A waveform in this package is a 1-D ``numpy.complex128`` array together with
 its sample rate.  :class:`Waveform` bundles the two so that rate mismatches
 become explicit errors instead of silent corruption.
 
-``scipy.signal`` is imported where it is called: unfiltered sweeps never load it.
+The receive chain's channelizer and the filter designs are plain numpy;
+only :func:`lowpass_filter` and :func:`polyphase_resample` import SciPy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -125,10 +127,15 @@ def polyphase_resample(
     Used to move between the ZigBee native 4 Msps and the shared 20 Msps
     "air" rate.  Rates must form a rational ratio with small terms.
     """
+    if input_rate_hz <= 0 or output_rate_hz <= 0:
+        raise ConfigurationError("sample rates must be positive")
     array = _as_complex_array(samples)
-    return polyphase_resample_batch(
-        array[np.newaxis, :], input_rate_hz, output_rate_hz
-    )[0]
+    if input_rate_hz == output_rate_hz:
+        return array.copy()
+    from scipy import signal as sp_signal
+
+    up, down = _rate_ratio(input_rate_hz, output_rate_hz)
+    return sp_signal.resample_poly(array, up, down, window=_resample_taps(up, down))
 
 
 def fft_interpolate(samples: ArrayLike, factor: int) -> np.ndarray:
@@ -187,10 +194,20 @@ def lowpass_taps(
         )
     if num_taps < 3 or num_taps % 2 == 0:
         raise ConfigurationError("num_taps must be an odd integer >= 3")
-    from scipy import signal as sp_signal
-    taps = sp_signal.firwin(num_taps, cutoff_hz, fs=sample_rate_hz)
+    # SciPy's default Hamming window, 0.54 + 0.46 cos over [-pi, pi].
+    hamming = 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, num_taps))
+    taps = _firwin(cutoff_hz / (0.5 * sample_rate_hz), hamming)
     taps.setflags(write=False)
     return taps
+
+
+def _firwin(cutoff: float, window: np.ndarray) -> np.ndarray:
+    """Windowed-sinc low-pass with unit DC gain; ``cutoff`` is relative
+    to Nyquist.  The same arithmetic as ``scipy.signal.firwin``: the
+    Hamming designs and the 101-tap Kaiser-5 design are bit-equal to it."""
+    m = np.arange(window.size, dtype=np.float64) - 0.5 * (window.size - 1)
+    taps = cutoff * np.sinc(cutoff * m) * window
+    return taps / np.sum(taps)
 
 
 def lowpass_filter(
@@ -204,83 +221,145 @@ def lowpass_filter(
     Models the ZigBee receiver's 2 MHz channel-select filter in front of the
     decimator.
     """
-    array = _as_complex_array(samples)
-    return lowpass_filter_batch(
-        array[np.newaxis, :], cutoff_hz, sample_rate_hz, num_taps
-    )[0]
-
-
-def lowpass_filter_batch(
-    samples: np.ndarray,
-    cutoff_hz: float,
-    sample_rate_hz: float,
-    num_taps: int = 129,
-) -> np.ndarray:
-    """Row-wise :func:`lowpass_filter` over a (batch, n) stack.
-
-    ``lfilter`` along ``axis=-1`` produces per-row output bit-identical
-    to filtering each row alone, so the scalar path simply delegates
-    here with a single-row batch.
-    """
-    taps = lowpass_taps(cutoff_hz, sample_rate_hz, num_taps)
-    array = np.asarray(samples, dtype=np.complex128)
-    if array.ndim != 2:
-        raise ConfigurationError(
-            f"batch waveforms must be 2-D, got shape {array.shape}"
-        )
-    padded = np.concatenate(
-        [array, np.zeros((array.shape[0], num_taps // 2), dtype=np.complex128)],
-        axis=1,
-    )
     from scipy import signal as sp_signal
-    filtered = sp_signal.lfilter(taps, [1.0], padded, axis=-1)
-    return filtered[:, num_taps // 2:]
+
+    taps = lowpass_taps(cutoff_hz, sample_rate_hz, num_taps)
+    padded = np.concatenate(
+        [_as_complex_array(samples), np.zeros(num_taps // 2, dtype=np.complex128)]
+    )
+    return sp_signal.lfilter(taps, [1.0], padded)[num_taps // 2:]
 
 
-def polyphase_resample_batch(
-    samples: np.ndarray, input_rate_hz: float, output_rate_hz: float
-) -> np.ndarray:
-    """Row-wise :func:`polyphase_resample` over a (batch, n) stack.
-
-    ``resample_poly`` along ``axis=-1`` filters each row on its own, so
-    the scalar path delegates here with a single-row batch.
-    """
-    if input_rate_hz <= 0 or output_rate_hz <= 0:
-        raise ConfigurationError("sample rates must be positive")
-    array = np.asarray(samples, dtype=np.complex128)
-    if array.ndim != 2:
-        raise ConfigurationError(
-            f"batch waveforms must be 2-D, got shape {array.shape}"
-        )
-    if input_rate_hz == output_rate_hz:
-        return array.copy()
+def _rate_ratio(input_rate_hz: float, output_rate_hz: float) -> Tuple[int, int]:
+    """``(up, down)`` in lowest terms with ``up / down`` the rate ratio."""
     from fractions import Fraction
 
-    from scipy import signal as sp_signal
     ratio = Fraction(output_rate_hz / input_rate_hz).limit_denominator(1000)
     if not 0 < ratio.numerator <= 10_000 or ratio.denominator > 10_000:
         raise ConfigurationError(
             f"rate ratio {output_rate_hz}/{input_rate_hz} is not a small rational"
         )
-    up, down = ratio.numerator, ratio.denominator
-    return sp_signal.resample_poly(
-        array, up, down, axis=-1, window=_resample_taps(up, down)
-    )
+    return ratio.numerator, ratio.denominator
 
 
 @lru_cache(maxsize=8)
 def _resample_taps(up: int, down: int) -> np.ndarray:
     """Cached design of ``resample_poly``'s default anti-aliasing filter.
 
-    The same ``firwin`` call ``resample_poly`` makes for its default
-    Kaiser window, cast to complex128 as it casts for a complex input,
-    so passing it as ``window=`` gives bit-identical output without a
-    filter design per call.  Read-only; ``resample_poly`` copies it.
+    Its default Kaiser-5 ``firwin`` design (bit-equal to SciPy's for the
+    1:5 and 5:1 ratios the package uses), so passing it as ``window=``
+    gives ``resample_poly``'s output without a filter design per call.
+    Read-only; ``resample_poly`` copies it.
     """
-    from scipy import signal as sp_signal
     max_rate = max(up, down)
-    taps = sp_signal.firwin(
-        20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0)
-    ).astype(np.complex128)
+    taps = _firwin(1.0 / max_rate, np.kaiser(20 * max_rate + 1, 5.0))
     taps.setflags(write=False)
     return taps
+
+
+@lru_cache(maxsize=None)
+def _smooth_lengths(bits: int) -> Tuple[int, ...]:
+    """Sorted 2·3·5·7·11-smooth integers up to ``2**bits``."""
+    lengths = [1]
+    for prime in (2, 3, 5, 7, 11):
+        lengths = [m * prime**k for m in lengths for k in range(bits + 1)
+                   if m * prime**k <= 1 << bits]
+    return tuple(sorted(lengths))
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 2·3·5·7·11-smooth length >= ``n`` (``n >= 1``).
+
+    pocketfft's ``good_size`` for complex input, and so equal to
+    ``scipy.fft.next_fast_len(n)``, without importing SciPy.
+    """
+    lengths = _smooth_lengths((n - 1).bit_length())
+    return lengths[bisect_left(lengths, n)]
+
+
+def channelize_batch(
+    samples: np.ndarray,
+    cutoff_hz: float,
+    input_rate_hz: float,
+    output_rate_hz: float,
+) -> np.ndarray:
+    """Channel filter and resample a (batch, n) stack to a lower rate.
+
+    Equal, in exact arithmetic, to :func:`lowpass_filter` then
+    :func:`polyphase_resample` on each row, in one FFT pass: the row's
+    spectrum times the composite filter's, folded to the output rate and
+    inverse transformed, minus the tails the two-stage chain cuts off at
+    ``[0, n)``.  Rows are transformed alone and summed in a fixed order,
+    so a row's output does not depend on its batch.  A non-finite sample
+    spreads over its whole row, which callers reject.
+    """
+    array = np.asarray(samples, dtype=np.complex128)
+    if array.ndim != 2:
+        raise ConfigurationError(
+            f"batch waveforms must be 2-D, got shape {array.shape}"
+        )
+    if not 0 < output_rate_hz < input_rate_hz:
+        raise ConfigurationError("output rate must be positive and below the input rate")
+    n = array.shape[1]
+    spectrum, up, down, n_out, edge, lower, upper = _channelize_plan(
+        n, cutoff_hz, input_rate_hz, output_rate_hz
+    )
+    folds = spectrum.size // down
+    with np.errstate(invalid="ignore", over="ignore"):
+        product = np.tile(np.fft.fft(array, spectrum.size // up), up) * spectrum
+        folded = product.reshape(len(array), down, folds).sum(axis=1)
+        out = np.fft.ifft(folded)[:, :n_out]
+        out[:, :len(lower)] -= np.sum(lower * array[:, None, :edge], axis=-1)
+        out[:, n_out - len(upper):] -= np.sum(
+            upper * array[:, None, n - edge:], axis=-1
+        )
+    return out
+
+
+@lru_cache(maxsize=16)
+def _channelize_plan(
+    n: int, cutoff_hz: float, input_rate_hz: float, output_rate_hz: float
+) -> tuple:
+    """The cached spectrum and edge corrections of :func:`channelize_batch`.
+
+    Output ``j`` of the chain is ``sum_m r[m] u[down*j + R - m]``: ``u`` is
+    ``lowpass * x`` cut to ``[0, n)`` and zero-stuffed by ``up``, ``r`` is
+    ``up`` times the resample taps (half length ``R``).  Uncut, that is one
+    FIR read at ``down*j + up*half_l + R``, so the spectrum is the FIR's
+    times that delay's phase ramp, over ``down`` for the fold.
+    ``lower``/``upper`` map the first/last ``edge`` inputs to the cut terms.
+    """
+    up, down = _rate_ratio(input_rate_hz, output_rate_hz)
+    lowpass = lowpass_taps(cutoff_hz, input_rate_hz)
+    resample = up * _resample_taps(up, down)
+    half_l, half_r = lowpass.size // 2, resample.size // 2
+    stuffed = np.zeros(up * (lowpass.size - 1) + 1, dtype=np.float64)
+    stuffed[::up] = lowpass
+    composite = np.convolve(stuffed, resample)
+    size = next_fast_len(n + -(-composite.size // up))
+    while (up * size) % down:
+        size = next_fast_len(size + 1)
+    k = np.arange(up * size)
+    ramp = np.exp(2j * np.pi * (k * (up * half_l + half_r) % k.size) / k.size)
+    spectrum = np.fft.fft(composite, k.size) * ramp / down
+    n_out = -(-up * n // down)
+
+    def taps_at(taps, index):
+        inside = (index >= 0) & (index < taps.size)
+        return np.where(inside, taps[np.clip(index, 0, taps.size - 1)], 0.0)
+
+    def cut_terms(outputs, inputs, cut):
+        # Row j, column i: sum over the cut samples p of
+        # r[down*j + R - up*p] * lowpass[p + half_l - i].
+        r_index = down * outputs[:, None] + half_r - up * cut[None, :]
+        l_index = cut[:, None] + half_l - inputs[None, :]
+        return taps_at(resample, r_index) @ taps_at(lowpass, l_index)
+
+    edge = min(n, half_l)
+    lower = cut_terms(np.arange(min(n_out, (half_r - up) // down + 1)),
+                      np.arange(edge), np.arange(-half_l, 0))
+    upper = cut_terms(np.arange(max(0, -(-(up * n - half_r) // down)), n_out),
+                      np.arange(n - edge, n), np.arange(n, n + half_l))
+    for table in (spectrum, lower, upper):
+        table.setflags(write=False)
+    return spectrum, up, down, n_out, edge, lower, upper

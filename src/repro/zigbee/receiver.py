@@ -23,11 +23,7 @@ from repro.errors import (
     SynchronizationError,
 )
 from repro.telemetry import get_telemetry
-from repro.utils.signal_ops import (
-    Waveform,
-    lowpass_filter_batch,
-    polyphase_resample_batch,
-)
+from repro.utils.signal_ops import Waveform, channelize_batch
 from repro.zigbee.constants import (
     CHIPS_PER_SYMBOL,
     DEFAULT_CORRELATION_THRESHOLD,
@@ -529,11 +525,6 @@ class ZigBeeReceiver:
                     "naive decimation needs an integer rate ratio"
                 )
             return np.ascontiguousarray(samples[:, ::step])
-        filtered = lowpass_filter_batch(
-            samples,
-            cutoff_hz=self.config.channel_filter_cutoff_hz,
-            sample_rate_hz=sample_rate_hz,
-        )
-        return polyphase_resample_batch(
-            filtered, sample_rate_hz, self.sample_rate_hz
+        return channelize_batch(
+            samples, self.config.channel_filter_cutoff_hz, sample_rate_hz, self.sample_rate_hz
         )

@@ -17,7 +17,6 @@ scalar synchronization are bit-identical by construction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -25,29 +24,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, SynchronizationError
-from repro.utils.signal_ops import Waveform
+from repro.utils.signal_ops import Waveform, next_fast_len
 from repro.zigbee.constants import DEFAULT_SAMPLES_PER_CHIP, PREAMBLE_BYTES, SFD_BYTE
 from repro.zigbee.frame import bytes_to_symbols
-
-
-@lru_cache(maxsize=None)
-def _smooth_lengths(bits: int) -> Tuple[int, ...]:
-    """Sorted 2·3·5·7·11-smooth integers up to ``2**bits``."""
-    lengths = [1]
-    for prime in (2, 3, 5, 7, 11):
-        lengths = [m * prime**k for m in lengths for k in range(bits + 1)
-                   if m * prime**k <= 1 << bits]
-    return tuple(sorted(lengths))
-
-
-def next_fast_len(n: int) -> int:
-    """Smallest 2·3·5·7·11-smooth length >= ``n`` (``n >= 1``).
-
-    pocketfft's ``good_size`` for complex input, and so equal to
-    ``scipy.fft.next_fast_len(n)``, without importing SciPy.
-    """
-    lengths = _smooth_lengths((n - 1).bit_length())
-    return lengths[bisect_left(lengths, n)]
 
 
 @lru_cache(maxsize=4)

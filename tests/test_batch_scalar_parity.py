@@ -27,13 +27,7 @@ from repro.experiments.common import (
     transmit_once,
 )
 from repro.hardware.usrp import gnuradio_simulation_receiver_config
-from repro.utils.signal_ops import (
-    Waveform,
-    lowpass_filter,
-    lowpass_filter_batch,
-    polyphase_resample,
-    polyphase_resample_batch,
-)
+from repro.utils.signal_ops import Waveform
 from repro.zigbee.receiver import ZigBeeReceiver
 
 
@@ -42,25 +36,6 @@ def _complex_rows(rng, count, length):
         rng.standard_normal(length) + 1j * rng.standard_normal(length)
         for _ in range(count)
     ]
-
-
-class TestSignalOpsParity:
-    def test_lowpass_filter_batch_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        rows = _complex_rows(rng, 4, 400)
-        batched = lowpass_filter_batch(np.stack(rows), 2e6, 20e6)
-        for row, filtered in zip(rows, batched):
-            assert np.array_equal(filtered, lowpass_filter(row, 2e6, 20e6))
-
-    def test_polyphase_resample_batch_matches_scalar(self):
-        rng = np.random.default_rng(4)
-        rows = _complex_rows(rng, 3, 360)
-        for rates in ((4e6, 20e6), (20e6, 4e6), (4e6, 4e6)):
-            batched = polyphase_resample_batch(np.stack(rows), *rates)
-            for row, resampled in zip(rows, batched):
-                assert np.array_equal(
-                    resampled, polyphase_resample(row, *rates)
-                )
 
 
 class TestDefenseKernelParity:
@@ -96,6 +71,21 @@ class TestZigbeeChainParity:
                 scalar = receiver.channelize(Waveform(row, 20e6))
                 assert scalar.sample_rate_hz == receiver.sample_rate_hz
                 assert np.array_equal(baseband, scalar.samples)
+
+    @pytest.mark.parametrize("length", [1, 2, 64, 128, 129, 1003, 14_671])
+    def test_channelize_rows_match_one_row_calls(self, length):
+        """Every batch size, lengths that are not multiples of 5, and
+        captures no longer than the channel filter's 129 taps."""
+        rng = np.random.default_rng(length)
+        rows = np.stack(_complex_rows(rng, 33, length))
+        receiver = ZigBeeReceiver()
+        alone = [
+            receiver.channelize(Waveform(row, 20e6)).samples for row in rows
+        ]
+        for batch in (1, 2, 8, 33):
+            batched = receiver._channelize_batch(rows[:batch], 20e6)
+            for row, baseband in zip(alone, batched):
+                assert np.array_equal(baseband, row)
 
     def test_synchronize_batch_matches_scalar(self):
         receiver = ZigBeeReceiver()

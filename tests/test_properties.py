@@ -1,10 +1,12 @@
 """Cross-module property-based tests of the system's core invariants."""
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attack.emulator import EmulationConfig, WaveformEmulationAttack
@@ -435,9 +437,13 @@ def _quantization_cases(draw):
     levels = np.unique(modulation.constellation().real)
     marks = np.concatenate([levels, (levels[1:] + levels[:-1]) / 2])
     anchor = scales[0]
-    in_steps = (
-        st.sampled_from(list(marks)) | st.floats(1e3, 1e18) | st.floats(-1e18, -1e3)
-    )
+    # Only the step counts c whose c * anchor is finite: the product is
+    # monotone in c, so they are the marks that stay finite and, far out,
+    # |c| up to the largest factor that does not overflow.
+    far = _largest_finite_factor(anchor, 1e18)
+    in_steps = st.sampled_from([m for m in marks if math.isfinite(float(m) * anchor)])
+    if far >= 1e3:
+        in_steps = in_steps | st.floats(1e3, far) | st.floats(-far, -1e3)
     coordinate = (
         st.floats(-10.0, 10.0)
         | st.floats(-1e300, 1e300)
@@ -445,8 +451,19 @@ def _quantization_cases(draw):
     )
     parts = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30))
     points = np.array([complex(re, im) for re, im in parts])
-    assume(np.isfinite(points).all())
     return modulation, points, np.array(scales)
+
+
+def _largest_finite_factor(anchor, cap):
+    """The largest float c <= cap with c * anchor finite (anchor >= 0)."""
+    if math.isfinite(cap * anchor):
+        return cap
+    factor = sys.float_info.max / anchor
+    while not math.isfinite(factor * anchor):
+        factor = math.nextafter(factor, 0.0)
+    while math.isfinite(math.nextafter(factor, math.inf) * anchor):
+        factor = math.nextafter(factor, math.inf)
+    return factor
 
 
 def _default_frame_points():

@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError
 from repro.utils.signal_ops import (
     Waveform,
     average_power,
+    channelize_batch,
     db_to_linear,
     fft_interpolate,
     frequency_shift,
@@ -147,3 +148,49 @@ class TestLowpass:
     def test_rejects_bad_cutoff(self):
         with pytest.raises(ConfigurationError):
             lowpass_filter(np.ones(16, dtype=complex), 11e6, 20e6)
+
+
+class TestChannelize:
+    """The one-pass channelizer against SciPy's two-stage chain."""
+
+    @staticmethod
+    def _scipy_chain(rows, cutoff_hz, rate_hz, up, down):
+        from scipy import signal
+
+        taps = signal.firwin(129, cutoff_hz, fs=rate_hz)
+        padded = np.concatenate([rows, np.zeros((len(rows), 64))], axis=1)
+        filtered = signal.lfilter(taps, [1.0], padded, axis=-1)[:, 64:]
+        return signal.resample_poly(filtered, up, down, axis=-1)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 64, 128, 129, 130, 1003, 14_670])
+    @pytest.mark.parametrize(
+        "rates", [(20e6, 4e6, 1, 5), (8e6, 4e6, 1, 2), (6e6, 4e6, 2, 3)]
+    )
+    def test_matches_filter_then_resample(self, length, rates):
+        rate_hz, native_hz, up, down = rates
+        rng = np.random.default_rng(length)
+        rows = rng.standard_normal((3, length)) + 1j * rng.standard_normal((3, length))
+        expected = self._scipy_chain(rows, 1.5e6, rate_hz, up, down)
+        got = channelize_batch(rows, 1.5e6, rate_hz, native_hz)
+        assert got.shape == expected.shape
+        peak = np.max(np.abs(expected), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - expected) <= 1e-13 * peak)
+
+    def test_taps_are_scipy_designs(self):
+        from scipy import signal
+
+        from repro.utils.signal_ops import _resample_taps, lowpass_taps
+
+        assert np.array_equal(
+            lowpass_taps(2e6, 20e6), signal.firwin(129, 2e6, fs=20e6)
+        )
+        assert np.array_equal(
+            _resample_taps(1, 5), signal.firwin(101, 0.2, window=("kaiser", 5.0))
+        )
+
+    def test_empty_rows_and_bad_rates(self):
+        assert channelize_batch(np.zeros((3, 0)), 2e6, 20e6, 4e6).shape == (3, 0)
+        with pytest.raises(ConfigurationError):
+            channelize_batch(np.zeros((1, 10)), 2e6, 4e6, 20e6)
+        with pytest.raises(ConfigurationError):
+            channelize_batch(np.zeros(10), 2e6, 20e6, 4e6)

@@ -13,7 +13,12 @@ import pytest
 from repro.attack import EmulationConfig, WaveformEmulationAttack, optimize_scale
 from repro.attack.interpolate import spectrum_table
 from repro.defense import CumulantDetector
-from repro.experiments.common import build_observed_waveform
+from repro.experiments.common import (
+    build_observed_waveform,
+    prepare_emulated,
+    transmit_batch,
+)
+from repro.hardware.usrp import gnuradio_simulation_receiver_config
 from repro.utils.signal_ops import channelize_batch
 from repro.wifi.qam import modulation_for_name
 from repro.wifi.convcode import decode_with_rate, encode_with_rate
@@ -91,6 +96,22 @@ def test_bench_channelize(benchmark, rows):
     )
     baseband = benchmark(lambda: channelize_batch(stacked, 1.5e6, 20e6, 4e6))
     assert baseband.shape == (rows, 2934)
+
+
+def test_bench_transmit_batch(benchmark):
+    """Table II's channel and receive step: 8 noisy copies of the
+    emulated frame (14,670 samples at 20 Msps) at 7 dB into the naive
+    receiver, which reads 2,934 samples of each."""
+    prepared = prepare_emulated(rng=1)
+    assert prepared.on_air.samples.size == 14_670
+    receiver = ZigBeeReceiver(gnuradio_simulation_receiver_config())
+    packets = benchmark(
+        lambda: transmit_batch(
+            prepared, receiver, 7.0,
+            [np.random.default_rng(seed) for seed in range(8)],
+        )
+    )
+    assert len(packets) == 8
 
 
 def test_bench_detector_statistic_batch(benchmark):

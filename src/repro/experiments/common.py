@@ -197,12 +197,19 @@ def transmit_batch(
 ) -> List[Optional[ReceivedPacket]]:
     """Noisy transmissions of a prepared waveform, one per RNG.
 
-    The prepared waveform is normalized once; each row's noise is drawn
-    with the exact same 1-D generator calls
-    :class:`repro.channel.awgn.AwgnChannel` makes, so a row depends only
-    on its own RNG, and the whole stack goes through the receiver's
-    batched chain.  A ``channel_factory`` replaces the AWGN stage row by
-    row.  ``None`` rows lost sync.
+    The prepared waveform is normalized once, over its full length, and
+    each row's noise is drawn from that row's own RNG (real part, then
+    imaginary), so a row depends only on its own RNG; the whole stack
+    goes through the receiver's batched chain.  For a filtered receiver
+    the noise is drawn at the capture rate with the same 1-D generator
+    calls :class:`repro.channel.awgn.AwgnChannel` makes.  A naive
+    receiver keeps only every k-th sample (see
+    :meth:`ZigBeeReceiver.naive_stride`), so the clean frame is
+    decimated first and noise is drawn only at the kept samples: white
+    noise there has the same per-sample variance, so the model is the
+    same in distribution with a different realization.  A
+    ``channel_factory`` replaces the AWGN stage row by row.  ``None``
+    rows lost sync.
     """
     if not rngs:
         return []
@@ -225,6 +232,16 @@ def _transmit_rows(
     telemetry = get_telemetry()
     waveform = prepared.on_air
     samples = waveform.samples
+    # A naive decimator reads only every stride-th sample, so the clean
+    # frame is decimated before the noise draw and the rows go to the
+    # receiver at its native rate.  ``[::None]`` keeps every sample.
+    stride = (
+        None if channel_factory is not None
+        else receiver.naive_stride(waveform.sample_rate_hz)
+    )
+    sample_rate_hz = (
+        waveform.sample_rate_hz if stride is None else receiver.sample_rate_hz
+    )
     if channel_factory is not None:
         with telemetry.span("channel.custom"):
             rows = [
@@ -233,10 +250,11 @@ def _transmit_rows(
             ]
             stacked = np.stack(rows)
     elif snr_db is None:
-        stacked = np.tile(samples, (len(rngs), 1))
+        stacked = np.tile(samples[::stride], (len(rngs), 1))
     else:
         with telemetry.span("channel.awgn"):
-            normalized = normalize_power(samples)
+            # Normalized over the whole capture: the SNR reference.
+            normalized = normalize_power(samples)[::stride]
             noise_variance = 1.0 / db_to_linear(snr_db)
             scale = np.sqrt(noise_variance / 2.0)
             stacked = np.empty(
@@ -248,7 +266,7 @@ def _transmit_rows(
                     + 1j * generator.standard_normal(normalized.size)
                 )
                 stacked[row] = normalized + noise
-    packets = receiver.receive_batch(stacked, waveform.sample_rate_hz)
+    packets = receiver.receive_batch(stacked, sample_rate_hz)
     for packet in packets:
         if packet is None:
             telemetry.count("experiment.sync_lost")

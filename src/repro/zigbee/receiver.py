@@ -40,6 +40,9 @@ from repro.zigbee.synchronizer import SyncResult, Synchronizer, apply_correction
 #: preamble (8) + SFD (2) + PHR (2) symbols precede the PSDU.
 HEADER_SYMBOLS = 12
 
+#: Captured samples before the frame start a noise floor needs.
+MIN_NOISE_SAMPLES = 32
+
 
 @dataclass(frozen=True)
 class ReceiverConfig:
@@ -267,7 +270,7 @@ class ZigBeeReceiver:
 
     @staticmethod
     def _estimate_noise_floor(
-        baseband: Waveform, start_index: int, min_samples: int = 32
+        baseband: Waveform, start_index: int
     ) -> Optional[float]:
         """Per-sample noise power from the signal-free head of the capture.
 
@@ -276,7 +279,7 @@ class ZigBeeReceiver:
         the samples it captured before the frame arrived.
         """
         head = baseband.samples[:start_index]
-        if head.size < min_samples:
+        if head.size < MIN_NOISE_SAMPLES:
             return None
         return float(np.mean(np.abs(head) ** 2))
 
@@ -499,10 +502,11 @@ class ZigBeeReceiver:
                 symbols, distances, runners = self._despreader.despread_arrays(
                     hard
                 )
-        min_noise_samples = 32
+        # The scalar rule: the head must hold the samples, not just start.
+        head = group[:, :start]
         noise: Optional[np.ndarray] = None
-        if start >= min_noise_samples:
-            noise = np.mean(np.abs(group[:, :start]) ** 2, axis=-1)
+        if head.shape[1] >= MIN_NOISE_SAMPLES:
+            noise = np.mean(np.abs(head) ** 2, axis=-1)
         # Non-finite chips or noise floor (NaN samples, overflow) fail closed.
         finite = np.isfinite(soft).all(axis=-1) & np.isfinite(quad_soft).all(axis=-1)
         finite &= np.isfinite(noise) if noise is not None else True
@@ -523,6 +527,29 @@ class ZigBeeReceiver:
             )
             packets[row] = self._parse_packet(diagnostics)
 
+    def naive_stride(self, sample_rate_hz: float) -> Optional[int]:
+        """Every how many input samples a naive decimator keeps one.
+
+        ``None`` when the receiver filters before decimating or the input
+        is below the native rate; a naive receiver keeps samples ``0, k,
+        2k, ...`` of a capture at ``k`` times its native rate.
+
+        Raises:
+            ConfigurationError: naive decimation at a non-integer ratio.
+        """
+        if (
+            self.config.decimation != "naive"
+            or sample_rate_hz < self.sample_rate_hz
+        ):
+            return None
+        ratio = sample_rate_hz / self.sample_rate_hz
+        step = int(round(ratio))
+        if abs(ratio - step) > 1e-9:
+            raise ConfigurationError(
+                "naive decimation needs an integer rate ratio"
+            )
+        return step
+
     def _channelize_batch(
         self, samples: np.ndarray, sample_rate_hz: float
     ) -> np.ndarray:
@@ -533,13 +560,8 @@ class ZigBeeReceiver:
             raise ConfigurationError(
                 "input sample rate is below the receiver's native rate"
             )
-        if self.config.decimation == "naive":
-            ratio = sample_rate_hz / self.sample_rate_hz
-            step = int(round(ratio))
-            if abs(ratio - step) > 1e-9:
-                raise ConfigurationError(
-                    "naive decimation needs an integer rate ratio"
-                )
+        step = self.naive_stride(sample_rate_hz)
+        if step is not None:
             return np.ascontiguousarray(samples[:, ::step])
         return channelize_batch(
             samples, self.config.channel_filter_cutoff_hz, sample_rate_hz, self.sample_rate_hz

@@ -1,5 +1,7 @@
 """Tests for the shared experiment infrastructure."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.experiments.common import (
     packet_delivered,
     prepare_authentic,
     prepare_emulated,
+    transmit_batch,
     transmit_once,
 )
 from repro.experiments.defense_common import (
@@ -21,6 +24,9 @@ from repro.experiments.defense_common import (
     matched_filter_chip_noise_variance,
     mean_distance_squared,
 )
+from repro.hardware.usrp import gnuradio_simulation_receiver_config
+from repro.utils.signal_ops import db_to_linear, normalize_power
+from repro.zigbee.receiver import ZigBeeReceiver
 
 
 class TestPreparedLinks:
@@ -59,6 +65,60 @@ class TestTransmitOnce:
         packet = transmit_once(emulated_link, defense_receiver(), None)
         assert packet_delivered(emulated_link, packet)
         assert packet_delivered(authentic_link, packet)  # same frame content
+
+
+def _rows_handed_to_receiver(link, snr_db, seeds):
+    """What ``transmit_batch`` hands a naive receiver's ``receive_batch``."""
+    receiver = ZigBeeReceiver(gnuradio_simulation_receiver_config())
+    receive_batch = receiver.receive_batch
+    handed = []
+
+    def record(samples, sample_rate_hz, known_start=None):
+        handed.append((np.array(samples), sample_rate_hz))
+        return receive_batch(samples, sample_rate_hz, known_start)
+
+    receiver.receive_batch = record
+    transmit_batch(
+        link, receiver, snr_db, [np.random.default_rng(s) for s in seeds]
+    )
+    ((rows, sample_rate_hz),) = handed
+    return rows, sample_rate_hz
+
+
+class TestNaiveReceiverNoise:
+    """A naive decimator keeps every 5th sample of the 20 Msps capture,
+    so noise is drawn only there and the receiver gets 4 Msps rows."""
+
+    SNR_DB = 7.0
+    SEEDS = tuple(range(100, 164))
+
+    @pytest.fixture(scope="class")
+    def handed(self, emulated_link):
+        return _rows_handed_to_receiver(emulated_link, self.SNR_DB, self.SEEDS)
+
+    def test_rows_arrive_at_the_native_rate(self, emulated_link, handed):
+        rows, sample_rate_hz = handed
+        on_air = emulated_link.on_air
+        assert on_air.sample_rate_hz == 20e6
+        assert sample_rate_hz == 4e6
+        assert rows.shape == (len(self.SEEDS), math.ceil(on_air.samples.size / 5))
+
+    def test_noise_variance_is_the_snr(self, emulated_link, handed):
+        rows, _ = handed
+        clean = normalize_power(emulated_link.on_air.samples)[::5]
+        noise = rows - clean
+        expected = 1.0 / db_to_linear(self.SNR_DB)
+        # |n|^2 of complex Gaussian noise is exponential: std = mean.
+        tolerance = 5.0 * expected / math.sqrt(noise.size)
+        assert abs(np.mean(np.abs(noise) ** 2) - expected) < tolerance
+
+    @pytest.mark.parametrize("row", [0, 37, 63])
+    def test_row_alone_equals_row_in_batch(self, emulated_link, handed, row):
+        rows, _ = handed
+        alone, _ = _rows_handed_to_receiver(
+            emulated_link, self.SNR_DB, [self.SEEDS[row]]
+        )
+        assert np.array_equal(alone[0], rows[row])
 
 
 class TestDefenseCommon:

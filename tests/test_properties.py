@@ -355,6 +355,30 @@ class TestReceiveChainFailsClosed:
             if packet.diagnostics.noise_variance is not None:
                 assert np.isfinite(packet.diagnostics.noise_variance)
 
+    @pytest.mark.parametrize("amplitude", [1.0, 1e200])
+    def test_short_capture_before_known_start_matches_receive(self, amplitude):
+        """A 25-sample row at 20 Msps channelizes to 5 samples, all before
+        ``known_start=100``: too few for a noise floor on either path, so
+        an overflowing head does not drop the batched row alone."""
+        row = np.full(25, amplitude * (1 + 1j))
+        receiver = ZigBeeReceiver()
+        with np.errstate(all="ignore"):
+            (batched,) = receiver.receive_batch(
+                row[np.newaxis, :], 20e6, known_start=100
+            )
+            try:
+                scalar = receiver.receive(Waveform(row, 20e6), known_start=100)
+            except SynchronizationError:
+                scalar = None
+        assert (batched is None) == (scalar is None)
+        if scalar is not None:
+            assert batched.psdu == scalar.psdu
+            assert batched.fcs_ok == scalar.fcs_ok
+            assert (
+                batched.diagnostics.noise_variance
+                == scalar.diagnostics.noise_variance
+            )
+
     @settings(max_examples=60, deadline=None)
     @given(_hostile_captures())
     def test_synchronize_batch(self, captures):

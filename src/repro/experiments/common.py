@@ -197,17 +197,16 @@ def transmit_batch(
 ) -> List[Optional[ReceivedPacket]]:
     """Noisy transmissions of a prepared waveform, one per RNG.
 
-    The prepared waveform is normalized once, over its full length, and
-    each row's noise is drawn from that row's own RNG (real part, then
-    imaginary), so a row depends only on its own RNG; the whole stack
-    goes through the receiver's batched chain.  For a filtered receiver
-    the noise is drawn at the capture rate with the same 1-D generator
-    calls :class:`repro.channel.awgn.AwgnChannel` makes.  A naive
-    receiver keeps only every k-th sample (see
-    :meth:`ZigBeeReceiver.naive_stride`), so the clean frame is
-    decimated first and noise is drawn only at the kept samples: white
-    noise there has the same per-sample variance, so the model is the
-    same in distribution with a different realization.  A
+    The prepared waveform is normalized once, over its full length;
+    each row's noise comes from its own RNG (real part, then imaginary),
+    so a row depends only on that RNG, and the whole stack goes through
+    the receiver's batched chain.  Behind a filtered receiver the noise
+    is drawn at the capture rate, with the 1-D generator calls
+    :class:`repro.channel.awgn.AwgnChannel` makes.  A naive receiver
+    reads only every k-th sample (:meth:`ZigBeeReceiver.naive_stride`),
+    so the clean frame is decimated first and noise is drawn only there:
+    white noise keeps its per-sample variance, so this is the same model
+    in distribution, with a different realization.  A
     ``channel_factory`` replaces the AWGN stage row by row.  ``None``
     rows lost sync.
     """

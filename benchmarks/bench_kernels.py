@@ -18,10 +18,12 @@ from repro.experiments.common import (
     prepare_emulated,
     transmit_batch,
 )
+from repro.experiments.sweep import untracked_if_quadrature
 from repro.hardware.usrp import gnuradio_simulation_receiver_config
 from repro.utils.signal_ops import channelize_batch
 from repro.wifi.qam import modulation_for_name
 from repro.wifi.convcode import decode_with_rate, encode_with_rate
+from repro.zigbee.oqpsk import OqpskDemodulator
 from repro.zigbee.receiver import ZigBeeReceiver
 from repro.zigbee.transmitter import ZigBeeTransmitter
 
@@ -98,13 +100,34 @@ def test_bench_channelize(benchmark, rows):
     assert baseband.shape == (rows, 2934)
 
 
+@pytest.mark.parametrize("phase_tracking", [True, False])
+def test_bench_demodulate_batch(benchmark, phase_tracking):
+    """The O-QPSK matched filter on Table II's aligned rows: 8 rows of
+    2,934 samples at 4 Msps, 1,440 chips each.  With tracking, each row
+    runs the decision-directed phase loop's per-pair recursion."""
+    rng = np.random.default_rng(0)
+    aligned = rng.standard_normal((8, 2934)) + 1j * rng.standard_normal(
+        (8, 2934)
+    )
+    demodulator = OqpskDemodulator()
+    soft, _ = benchmark(
+        lambda: demodulator.demodulate_batch(
+            aligned, 1440, phase_tracking=phase_tracking
+        )
+    )
+    assert soft.shape == (8, 1440)
+
+
 def test_bench_transmit_batch(benchmark):
     """Table II's channel and receive step: 8 noisy copies of the
-    emulated frame (14,670 samples at 20 Msps) at 7 dB into the naive
-    receiver, which reads 2,934 samples of each."""
+    emulated frame (14,670 samples at 20 Msps) at 7 dB into Table II's
+    receiver (naive, without matched-filter phase tracking), which reads
+    2,934 samples of each."""
     prepared = prepare_emulated(rng=1)
     assert prepared.on_air.samples.size == 14_670
-    receiver = ZigBeeReceiver(gnuradio_simulation_receiver_config())
+    receiver = untracked_if_quadrature(
+        ZigBeeReceiver(gnuradio_simulation_receiver_config())
+    )
     packets = benchmark(
         lambda: transmit_batch(
             prepared, receiver, 7.0,

@@ -1,11 +1,8 @@
 """The constellation higher-order-statistics defense (the paper's Sec. VI)."""
 
 from repro.defense.amc import (
-    CIRCULAR_FAMILY,
     ClassificationResult,
     CumulantClassifier,
-    HierarchicalClassifier,
-    REAL_FAMILY,
     synthesize_symbols,
 )
 from repro.defense.baselines import (
@@ -54,7 +51,6 @@ from repro.defense.moments import (
 )
 
 __all__ = [
-    "CIRCULAR_FAMILY",
     "ChipSequenceBaseline",
     "ChipSequenceScore",
     "ClassificationResult",
@@ -68,7 +64,6 @@ __all__ = [
     "DetectionResult",
     "ExtendedFeature",
     "FEATURE_NAMES",
-    "HierarchicalClassifier",
     "Hypothesis",
     "KMeansResult",
     "LogisticDetector",
@@ -77,7 +72,6 @@ __all__ = [
     "PhaseTrajectoryScore",
     "QPSK_C63",
     "QPSK_FEATURE_VECTOR",
-    "REAL_FAMILY",
     "SixthOrderEstimate",
     "build_dataset",
     "calibrate_threshold",

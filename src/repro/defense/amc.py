@@ -1,4 +1,4 @@
-"""Hierarchical automatic modulation classification (AMC).
+"""Cumulant-based automatic modulation classification (AMC).
 
 A standalone feature-based classifier in the Swami & Sadler style (refs
 [12], [23] of the paper): the normalized fourth-order cumulants of the
@@ -98,56 +98,6 @@ class CumulantClassifier:
         return ClassificationResult(
             label=label, distances=distances, feature=observed
         )
-
-
-#: Constellation families for the hierarchical classifier: the |C20|
-#: statistic separates real-valued (BPSK/PAM, |C20| = 1) from circular
-#: (PSK/QAM, C20 = 0) signals before any fourth-order comparison.
-REAL_FAMILY = ("BPSK", "4PAM", "8PAM", "16PAM")
-CIRCULAR_FAMILY = ("QPSK", "8PSK", "16QAM", "64QAM", "256QAM")
-
-
-class HierarchicalClassifier:
-    """Two-stage AMC in the Swami & Sadler style (ref. [23]).
-
-    Stage 1 thresholds |C20|/C21 at 0.5 to pick the real-valued or the
-    circular family; stage 2 runs nearest-cumulant classification within
-    the winning family only.  Compared to the flat classifier this
-    prevents cross-family confusions at low SNR, where noise drags all
-    fourth-order statistics toward zero.
-    """
-
-    def __init__(self, use_abs_c40: bool = False, c20_threshold: float = 0.5):
-        if not 0.0 < c20_threshold < 1.0:
-            raise ConfigurationError("c20_threshold must be in (0, 1)")
-        self.c20_threshold = c20_threshold
-        self._real = CumulantClassifier(
-            use_abs_c40=use_abs_c40, candidates=REAL_FAMILY, use_c20=False
-        )
-        self._circular = CumulantClassifier(
-            use_abs_c40=use_abs_c40, candidates=CIRCULAR_FAMILY, use_c20=False
-        )
-
-    def classify(
-        self, samples: np.ndarray, noise_variance: float = 0.0
-    ) -> ClassificationResult:
-        """Family decision on |C20|, then in-family nearest cumulants."""
-        from repro.defense.moments import estimate_cumulants
-
-        estimate = estimate_cumulants(samples, noise_variance=noise_variance)
-        normalized_c20 = abs(estimate.c20) / estimate.c21
-        family = (
-            self._real if normalized_c20 >= self.c20_threshold else self._circular
-        )
-        return family.classify(samples, noise_variance=noise_variance)
-
-    def family_of(self, samples: np.ndarray) -> str:
-        """Which family stage 1 picks: ``"real"`` or ``"circular"``."""
-        from repro.defense.moments import estimate_cumulants
-
-        estimate = estimate_cumulants(samples)
-        normalized_c20 = abs(estimate.c20) / estimate.c21
-        return "real" if normalized_c20 >= self.c20_threshold else "circular"
 
 
 def synthesize_symbols(

@@ -37,6 +37,7 @@ from repro.experiments.sweep import (
     SweepPlan,
     SweepSpec,
     resolve_environment,
+    untracked_if_quadrature,
 )
 from repro.hardware.cc26x2 import cc26x2_receiver_config
 from repro.hardware.rssi import RssiEstimator
@@ -123,10 +124,14 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
 def _context(
     config: Mapping[str, Any], base: np.random.Generator
 ) -> Dict[str, Any]:
+    # Rows read decisions, PSDUs and Hamming distances only, so the
+    # quadrature USRP receiver skips the unread matched-filter phase loop.
     return {
         "env": resolve_environment(config, rng=0),
         "receivers": {
-            "usrp": ZigBeeReceiver(usrp_receiver_config()),
+            "usrp": untracked_if_quadrature(
+                ZigBeeReceiver(usrp_receiver_config())
+            ),
             "cc26x2": ZigBeeReceiver(cc26x2_receiver_config()),
         },
         "original": prepare_authentic(),

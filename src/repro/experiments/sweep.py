@@ -347,6 +347,21 @@ def resolve_receiver(
     return ZigBeeReceiver(profiles[profile]())
 
 
+def untracked_if_quadrature(receiver: ZigBeeReceiver) -> ZigBeeReceiver:
+    """The receiver without matched-filter phase tracking, if unread.
+
+    A receiver that decides on quadrature chips still demodulates the
+    matched-filter chips, and their phase loop is a per-pair Python
+    recursion.  For a sweep that reads only decisions, PSDUs, Hamming
+    distances and quadrature chips, the loop's output is never read, so
+    such a receiver comes back with ``phase_tracking=False`` and the
+    same rows; any other receiver comes back unchanged.
+    """
+    if receiver.config.demodulation != "quadrature":
+        return receiver
+    return ZigBeeReceiver(replace(receiver.config, phase_tracking=False))
+
+
 def resolve_detector(
     config: Mapping[str, Any], **defaults: Any
 ) -> CumulantDetector:

@@ -42,6 +42,7 @@ from repro.experiments.sweep import (
     resolve_channel_factory,
     resolve_detector,
     resolve_receiver,
+    untracked_if_quadrature,
 )
 
 PAPER_SUCCESS_RATES = {7: 0.424, 9: 0.692, 11: 0.874, 13: 0.933, 15: 0.972, 17: 1.0}
@@ -134,8 +135,12 @@ def _context(
 ) -> Dict[str, Any]:
     # Seed the emulation (filler subcarriers) from the same base — drawn
     # after the noise streams — so a fixed seed fixes the whole run.
+    # No output reads the matched-filter chips, so a quadrature receiver
+    # skips their phase loop.
     return {
-        "receiver": resolve_receiver(config, "gnuradio"),
+        "receiver": untracked_if_quadrature(
+            resolve_receiver(config, "gnuradio")
+        ),
         "emulated": prepare_emulated(rng=base),
         "authentic": prepare_authentic(),
         "channel_factory": resolve_channel_factory(config),

@@ -2,7 +2,7 @@
 
 Regenerated analytically from the unit-power reference constellations and
 cross-checked by sample estimation over synthetic symbols; also exercises
-the hierarchical AMC classifier built on the table.
+the cumulant AMC classifier built on the table.
 """
 
 from __future__ import annotations

@@ -7,6 +7,10 @@ The receiver keeps every intermediate product in
 :class:`ReceiveDiagnostics` because the paper's defense taps the *input*
 of the DSSS demodulation (the chip-rate soft samples) and its failed
 baseline strategies tap the phase trajectory and chip amplitudes.
+A receiver built with ``phase_tracking=False`` keeps *untracked*
+matched-filter chips.  Table II's and Fig. 14's quadrature receivers are
+built that way, since those sweeps never read the matched-filter chips
+(``repro.experiments.sweep.untracked_if_quadrature``).
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ class ReceiverConfig:
             N-th sample, folding the full 20 MHz of noise into the 2 MHz
             band — this matches the paper's simulated receiver, whose SNR
             axis only lines up with ours under naive decimation.
+        phase_tracking: run the matched filter's decision-directed phase
+            loop (see :meth:`OqpskDemodulator.demodulate`).  Only the
+            matched-filter chips depend on it.
     """
 
     samples_per_chip: int = DEFAULT_SAMPLES_PER_CHIP

@@ -1,4 +1,4 @@
-"""Tests for the hierarchical AMC classifier."""
+"""Tests for the cumulant AMC classifier."""
 
 import numpy as np
 import pytest
@@ -65,46 +65,3 @@ class TestClassifier:
         with pytest.raises(ConfigurationError):
             CumulantClassifier(candidates=("QPSK", "UNOBTAINIUM"))
 
-
-class TestHierarchicalClassifier:
-    def test_family_decision(self):
-        from repro.defense.amc import HierarchicalClassifier
-
-        classifier = HierarchicalClassifier()
-        bpsk = synthesize_symbols("BPSK", 5000, rng=0)
-        qpsk = synthesize_symbols("QPSK", 5000, rng=1)
-        assert classifier.family_of(bpsk) == "real"
-        assert classifier.family_of(qpsk) == "circular"
-
-    @pytest.mark.parametrize(
-        "name", ["BPSK", "4PAM", "QPSK", "8PSK", "16QAM", "64QAM"]
-    )
-    def test_classifies_clean_constellations(self, name):
-        from repro.defense.amc import HierarchicalClassifier
-
-        classifier = HierarchicalClassifier()
-        symbols = synthesize_symbols(name, 20000, rng=3)
-        assert classifier.classify(symbols).label == name
-
-    def test_no_cross_family_confusion_at_low_snr(self):
-        """At 5 dB the flat fourth-order features collapse toward zero,
-        but |C20| still cleanly separates the families."""
-        from repro.defense.amc import (
-            CIRCULAR_FAMILY,
-            HierarchicalClassifier,
-            REAL_FAMILY,
-        )
-
-        classifier = HierarchicalClassifier()
-        for name, family in (("BPSK", REAL_FAMILY), ("QPSK", CIRCULAR_FAMILY)):
-            symbols = synthesize_symbols(name, 20000, snr_db=5.0, rng=4)
-            result = classifier.classify(
-                symbols, noise_variance=10 ** (-0.5)
-            )
-            assert result.label in family
-
-    def test_rejects_bad_threshold(self):
-        from repro.defense.amc import HierarchicalClassifier
-
-        with pytest.raises(ConfigurationError):
-            HierarchicalClassifier(c20_threshold=1.5)

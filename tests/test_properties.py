@@ -17,7 +17,11 @@ from repro.defense.detector import CumulantDetector
 from repro.defense.moments import estimate_cumulants
 from repro.errors import ConfigurationError, DecodingError, SynchronizationError
 from repro.experiments.common import build_observed_waveform
-from repro.experiments.sweep import load_scenario
+from repro.experiments.sweep import load_scenario, untracked_if_quadrature
+from repro.hardware.usrp import (
+    gnuradio_simulation_receiver_config,
+    usrp_receiver_config,
+)
 from repro.utils.signal_ops import Waveform
 from repro.wifi.qam import modulation_for_name
 from repro.zigbee.oqpsk import OqpskDemodulator
@@ -298,9 +302,22 @@ _ONE_NAN_FRAME = _HOSTILE_FRAME.copy()
 _ONE_NAN_FRAME[_HOSTILE_FRAME.size // 2] = np.nan
 
 
+#: The default receiver and the quadrature receivers Table II and Fig. 14
+#: run, which skip the matched-filter phase loop.
+_FAIL_CLOSED_RECEIVERS = (
+    ZigBeeReceiver(),
+    untracked_if_quadrature(
+        ZigBeeReceiver(gnuradio_simulation_receiver_config())
+    ),
+    untracked_if_quadrature(ZigBeeReceiver(usrp_receiver_config())),
+)
+
+
 class TestReceiveChainFailsClosed:
     """Hostile captures give ``None`` rows or a typed failure: never a
-    stray exception and never a row that carries a NaN."""
+    stray exception and never a row that carries a NaN.  The receive
+    properties run every capture through each of
+    :data:`_FAIL_CLOSED_RECEIVERS`."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -309,23 +326,25 @@ class TestReceiveChainFailsClosed:
         st.sampled_from([None, 0, 100]),
     )
     def test_receive_batch(self, captures, sample_rate_hz, known_start):
-        receiver = ZigBeeReceiver()
-        try:
-            with np.errstate(all="ignore"):
-                packets = receiver.receive_batch(
-                    captures, sample_rate_hz, known_start=known_start
-                )
-        except (SynchronizationError, ConfigurationError):
-            return
-        assert len(packets) == len(captures)
-        for packet in packets:
-            if packet is None:
+        for receiver in _FAIL_CLOSED_RECEIVERS:
+            try:
+                with np.errstate(all="ignore"):
+                    packets = receiver.receive_batch(
+                        captures, sample_rate_hz, known_start=known_start
+                    )
+            except (SynchronizationError, ConfigurationError):
                 continue
-            _assert_finite_sync(packet.diagnostics.sync)
-            assert np.isfinite(packet.diagnostics.soft_chips).all()
-            assert np.isfinite(packet.diagnostics.quadrature_soft_chips).all()
-            if packet.diagnostics.noise_variance is not None:
-                assert np.isfinite(packet.diagnostics.noise_variance)
+            assert len(packets) == len(captures)
+            for packet in packets:
+                if packet is None:
+                    continue
+                _assert_finite_sync(packet.diagnostics.sync)
+                assert np.isfinite(packet.diagnostics.soft_chips).all()
+                assert np.isfinite(
+                    packet.diagnostics.quadrature_soft_chips
+                ).all()
+                if packet.diagnostics.noise_variance is not None:
+                    assert np.isfinite(packet.diagnostics.noise_variance)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -339,21 +358,26 @@ class TestReceiveChainFailsClosed:
     def test_receive(self, captures, sample_rate_hz, known_start):
         """The scalar receive, row by row, fails closed as
         :meth:`receive_batch` does: an empty capture never decodes."""
-        receiver = ZigBeeReceiver()
-        for row in captures:
-            try:
-                with np.errstate(all="ignore"):
-                    packet = receiver.receive(
-                        Waveform(row, sample_rate_hz), known_start=known_start
-                    )
-            except (SynchronizationError, ConfigurationError, DecodingError):
-                continue
-            assert row.size > 0
-            _assert_finite_sync(packet.diagnostics.sync)
-            assert np.isfinite(packet.diagnostics.soft_chips).all()
-            assert np.isfinite(packet.diagnostics.quadrature_soft_chips).all()
-            if packet.diagnostics.noise_variance is not None:
-                assert np.isfinite(packet.diagnostics.noise_variance)
+        for receiver in _FAIL_CLOSED_RECEIVERS:
+            for row in captures:
+                try:
+                    with np.errstate(all="ignore"):
+                        packet = receiver.receive(
+                            Waveform(row, sample_rate_hz),
+                            known_start=known_start,
+                        )
+                except (
+                    SynchronizationError, ConfigurationError, DecodingError
+                ):
+                    continue
+                assert row.size > 0
+                _assert_finite_sync(packet.diagnostics.sync)
+                assert np.isfinite(packet.diagnostics.soft_chips).all()
+                assert np.isfinite(
+                    packet.diagnostics.quadrature_soft_chips
+                ).all()
+                if packet.diagnostics.noise_variance is not None:
+                    assert np.isfinite(packet.diagnostics.noise_variance)
 
     @pytest.mark.parametrize("amplitude", [1.0, 1e200])
     def test_short_capture_before_known_start_matches_receive(self, amplitude):

@@ -20,6 +20,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.sweep import untracked_if_quadrature
 from repro.hardware.usrp import gnuradio_simulation_receiver_config
+from repro.telemetry import stopwatch
 from repro.utils.signal_ops import channelize_batch
 from repro.wifi.qam import modulation_for_name
 from repro.wifi.convcode import decode_with_rate, encode_with_rate
@@ -188,16 +189,14 @@ def test_bench_viterbi(benchmark):
 
 def test_bench_attack_complexity_is_linear(benchmark, capsys):
     """Doubling the observed samples ~doubles the attack's work (Sec. VII-A)."""
-    import time
-
     attack = WaveformEmulationAttack()
     timings = {}
     for size in (10, 40):
         sent = ZigBeeTransmitter().transmit_payload(bytes(size))
-        start = time.perf_counter()
-        for _ in range(3):
-            attack.emulate(sent.waveform)
-        timings[size] = (time.perf_counter() - start) / 3
+        with stopwatch() as timer:
+            for _ in range(3):
+                attack.emulate(sent.waveform)
+        timings[size] = timer.seconds / 3
 
     ratio = timings[40] / timings[10]
     with capsys.disabled():

@@ -73,11 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--chunk-size", type=int, default=None,
                      help="trials per engine dispatch (default: derived "
                           "from the trial count and worker count)")
-    run.add_argument("--on-error", choices=("raise", "retry", "skip"),
-                     default="raise",
-                     help="trial-failure policy for engine-backed "
-                          "experiments: raise (default), retry with the "
-                          "same seed, or skip and record the failure")
     run.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                      help="persist each completed sweep point atomically "
                           "under DIR so an interrupted run can resume")
@@ -332,7 +327,6 @@ _FLAG_REQUIREMENTS = (
     ("--trials", None, "trials_param"),
     ("--workers", None, "spec"),
     ("--chunk-size", None, "spec"),
-    ("--on-error", "raise", "spec"),
     ("--checkpoint-dir", None, "spec"),
     ("--adaptive", False, "spec"),
     ("--scenario", None, "spec"),
@@ -377,7 +371,6 @@ def _run_one(
                 result = run_sweep(
                     entry.spec, overrides, rng=args.seed,
                     workers=args.workers, chunk_size=args.chunk_size,
-                    on_error=args.on_error,
                     checkpoint_dir=args.checkpoint_dir, resume=args.resume,
                     adaptive=args.adaptive, max_trials=args.max_trials,
                     rel_precision=(
@@ -392,7 +385,7 @@ def _run_one(
         node = telemetry.root.children.get(f"experiment.{experiment_id}")
         span_tree = node.to_dict() if node is not None else None
     config = {"trials": args.trials, "workers": args.workers,
-              "chunk_size": args.chunk_size, "on_error": args.on_error,
+              "chunk_size": args.chunk_size,
               "checkpoint_dir": args.checkpoint_dir, "resume": args.resume,
               "adaptive": args.adaptive, "rel_precision": args.rel_precision,
               "max_trials": args.max_trials,
@@ -439,8 +432,7 @@ def _start_run_directory(args: argparse.Namespace, targets: List[str]):
     run.write_manifest(build_manifest(
         seed=args.seed,
         config={"trials": args.trials, "workers": args.workers,
-                "chunk_size": args.chunk_size, "on_error": args.on_error,
-                "adaptive": args.adaptive},
+                "chunk_size": args.chunk_size, "adaptive": args.adaptive},
         extra={"status": "running", "experiments": targets},
     ))
     stream.run_started(experiments=targets, seed=args.seed)

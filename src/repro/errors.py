@@ -41,19 +41,28 @@ class DetectionError(ReproError):
 
 
 class TrialExecutionError(ReproError):
-    """A Monte Carlo trial raised and the engine policy does not skip.
+    """A Monte Carlo trial raised, which fails the run.
 
     Carries the structured :class:`repro.experiments.engine.TrialFailure`
     record on :attr:`failure` — including the original traceback text,
     which survives process boundaries where the raising exception object
-    may not unpickle.
+    may not unpickle.  The message names the raising dispatch: ``trial
+    i (seed s)``, or ``trials i–j (batch of n)`` and every seed of a
+    batched call.
     """
 
     def __init__(self, failure):
         self.failure = failure
+        first, seeds = failure.trial_index, failure.seeds
+        if len(seeds) == 1:
+            where = f"trial {first} (seed {seeds[0]})"
+        else:
+            where = (
+                f"trials {first}–{first + len(seeds) - 1} "
+                f"(batch of {len(seeds)}, seeds "
+                f"{', '.join(str(seed) for seed in seeds)})"
+            )
         super().__init__(
-            f"trial {failure.trial_index} (seed {failure.seed}) raised "
-            f"{failure.exception_type} after {failure.attempts} attempt(s): "
-            f"{failure.message}\n--- original traceback ---\n"
-            f"{failure.traceback}"
+            f"{where} raised {failure.exception_type}: {failure.message}"
+            f"\n--- original traceback ---\n{failure.traceback}"
         )

@@ -124,9 +124,9 @@ class RateEstimator:
     """Sequential Wilson-interval tracker for a Bernoulli rate.
 
     ``extract`` outcomes are folded in as successes (truthy) or
-    failures (falsy, including ``None`` rows from skipped trials);
-    every trial is an observation.  Convergence compares the interval
-    half-width against ``rel_precision * max(p, 1 - p)`` — relative to
+    failures (falsy); every trial is an observation.  Convergence
+    compares the interval half-width against
+    ``rel_precision * max(p, 1 - p)`` — relative to
     the *larger* side of the rate, so a 0.97 success rate and a 0.03
     error rate (the same physical point, reported either way) converge
     after the same number of trials.

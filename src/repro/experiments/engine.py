@@ -25,39 +25,33 @@ percentile reservoirs merge deterministically but depend on chunking;
 counts, sums, and extrema are exact).
 
 Live events (:mod:`repro.telemetry.events`) are emitted **from the
-parent only**, as chunks complete: per-trial ``trial_retry`` /
-``trial_failure`` records followed by one ``heartbeat`` per chunk, plus
-``pool_rebuild`` / ``pool_fallback`` at the recovery boundaries.  Given
-an explicit ``chunk_size``, the serial path executes in the same chunks
-as the parallel path, so for that chunk size and seed the *sequence of
-event types* is identical serial vs parallel.  Without one, a serial
-run uses fewer, larger chunks (see
-:meth:`MonteCarloEngine.resolve_chunk_size`); rows are bit-identical
-either way, because chunking never changes a trial's stream and
-emission happens after results are already collected.
+parent only**, as chunks complete: one ``heartbeat`` per chunk, a
+``trial_failure`` record when a chunk raised, and ``pool_fallback``
+when the session degrades to serial.  Given an explicit
+``chunk_size``, the serial path executes in the same chunks as the
+parallel path, so for that chunk size and seed the *sequence of event
+types* is identical serial vs parallel.  Without one, a serial run
+uses fewer, larger chunks (see :meth:`MonteCarloEngine.resolve_chunk_size`);
+rows are bit-identical either way, because chunking never changes a
+trial's stream and emission happens after results are already
+collected.
 
-Fault tolerance — long sweeps survive misbehaving trials and dying
-workers instead of discarding hours of completed points:
+Failures — a trial is a pure function of its context and its seed, so
+a raise is a bug to report, never a row:
 
-* **trial isolation** — an exception inside a trial is captured as a
-  structured :class:`TrialFailure` (index, seed, type, traceback) and
-  handled per the engine's ``on_error`` policy: ``"raise"`` (default)
-  surfaces it as :class:`~repro.errors.TrialExecutionError`,
-  ``"retry"`` re-executes the trial up to ``max_retries`` times with a
-  generator rebuilt **from the same seed** (so a recovered transient
-  fault yields the bit-identical row the unfaulted run produces), and
-  ``"skip"`` records the failure and leaves ``None`` in that trial's
-  result slot;
-* **pool-crash recovery** — a worker death (OOM kill, segfault)
-  surfaces as ``BrokenProcessPool`` during result collection; the
-  session keeps every chunk that already completed, rebuilds the pool
-  once, and re-executes only the lost chunks — in the parent process
-  if the rebuild fails too;
-* **fault drills** — set ``REPRO_ENGINE_FAULT_EVERY=N`` to raise an
-  :class:`InjectedFaultError` on the first execution of every trial
-  whose stream seed is divisible by ``N``; with ``on_error="retry"``
-  the sweep must still reproduce the unfaulted rows (CI runs exactly
-  this drill).
+* **a raising trial fails the run** — the exception is captured as a
+  :class:`TrialFailure` (first trial index, the dispatch's seeds, type,
+  message, traceback text) and surfaces as
+  :class:`~repro.errors.TrialExecutionError`, serially, in parallel and
+  in adaptive increments alike.  Chunks are collected in submission
+  order, so at a fixed ``chunk_size`` serial and parallel runs name the
+  same dispatch.  A batched call that raises names its whole dispatch:
+  every seed in it can be replayed;
+* **a dead worker** (OOM kill, segfault) surfaces as
+  ``BrokenProcessPool`` while collecting results.  The session keeps
+  every chunk that completed, goes serial exactly as it does when a
+  pool cannot be created (``engine.pool_fallbacks{reason=…}``), and
+  re-runs only the lost chunks in the parent.
 
 Usage::
 
@@ -70,8 +64,8 @@ where ``my_trial(context, static_args, rng)`` is a **module-level**
 (picklable) function returning a picklable value.  ``workers=None`` or
 ``1`` runs the same code path in process; ``workers="auto"`` resolves
 to the host CPU count; if the pool cannot be created (restricted
-sandboxes, missing semaphores) the engine falls back to the sequential
-executor and records it on ``engine.used_fallback``.
+sandboxes, missing semaphores) or a worker dies, the engine falls back
+to the sequential executor and records it on ``engine.used_fallback``.
 """
 
 from __future__ import annotations
@@ -113,30 +107,18 @@ DEFAULT_CHUNKS_PER_WORKER = 4
 #: chunks, which bounds the rows in flight and so the peak memory.
 SERIAL_MIN_CHUNK = 32
 
-#: Valid ``on_error`` policies (see :class:`MonteCarloEngine`).
-ON_ERROR_POLICIES = ("raise", "retry", "skip")
-
-#: Exception types captured at the trial-isolation boundary.
-#: Deliberately the root of the ordinary-exception hierarchy: a trial
-#: may raise anything, and the whole point of the ``on_error`` policy is
-#: that the *caller* — not the failing trial — decides what happens
-#: next.  ``KeyboardInterrupt`` / ``SystemExit`` are not ``Exception``
-#: subclasses and still propagate immediately.
+#: Exception types captured at the trial boundary.  Deliberately the
+#: root of the ordinary-exception hierarchy: a trial may raise anything,
+#: and the run must fail with a :class:`TrialFailure` that names the
+#: trial, even when the exception object would not survive pickling
+#: back from a worker.  ``KeyboardInterrupt`` / ``SystemExit`` are not
+#: ``Exception`` subclasses and still propagate immediately.
 ISOLATED_TRIAL_EXCEPTIONS = (Exception,)
-
-#: Environment variable enabling the fault-injection drill: an integer
-#: ``N`` makes every trial whose stream seed is divisible by ``N`` raise
-#: :class:`InjectedFaultError` on its first execution in each process.
-FAULT_EVERY_ENV = "REPRO_ENGINE_FAULT_EVERY"
 
 #: Exception types that mean "the worker pool died under us" while
 #: collecting results; anything else raised by a future is a real bug
 #: and propagates.
 POOL_CRASH_EXCEPTIONS = (BrokenProcessPool, FuturesTimeoutError)
-
-
-class InjectedFaultError(RuntimeError):
-    """A synthetic trial failure raised by the fault-injection drill."""
 
 
 def batch_trial(trial: Callable) -> Callable:
@@ -160,206 +142,87 @@ def _is_batch_trial(trial: Callable) -> bool:
     return bool(getattr(trial, "batch", False))
 
 
-def _call_trial(
-    trial: TrialFn,
-    context: Optional[Dict[str, Any]],
-    static_args: Tuple[Any, ...],
-    rng: np.random.Generator,
-) -> Any:
-    """Invoke one trial through its declared calling convention.
-
-    Batched trials execute as a single-row batch here, so retries and
-    fallback executions of a row-independent batched trial reproduce its
-    batch rows bit-for-bit.
-    """
-    if _is_batch_trial(trial):
-        rows = trial(context, static_args, [rng])
-        if len(rows) != 1:
-            raise ConfigurationError(
-                f"batched trial {getattr(trial, '__name__', trial)!r} "
-                f"returned {len(rows)} rows for 1 generator"
-            )
-        return rows[0]
-    return trial(context, static_args, rng)
-
-
 @dataclass
 class TrialFailure:
-    """Structured record of one trial that raised instead of returning.
+    """Structured record of one dispatch that raised instead of returning.
 
     Attributes:
-        trial_index: the trial's position in its ``run`` call.
-        seed: the RNG stream seed the trial was handed.
+        trial_index: the first trial of the raising dispatch, numbered
+            as in its ``run`` call (or across an incremental run).
+        seeds: the stream seed of every trial in the raising dispatch,
+            in trial order — one for a scalar trial, the whole batch for
+            a batched one — so each can be replayed.
         exception_type: class name of the exception (e.g. ``ValueError``).
         message: ``str(exception)``.
         traceback: the formatted traceback text, preserved across
             process boundaries where the live exception object may not
             unpickle.
-        attempts: executions performed, including retries.
     """
 
     trial_index: int
-    seed: int
+    seeds: Tuple[int, ...]
     exception_type: str
     message: str
     traceback: str
-    attempts: int
 
 
-# Worker-process globals installed by the pool initializer.
-_WORKER_CONTEXT: Optional[Dict[str, Any]] = None
-
-#: Stream seeds already faulted by the drill in this process, so a
-#: retried (or re-executed) trial succeeds — modelling transient faults.
-_FAULTED_SEEDS: set = set()
-
-
-def _maybe_inject_fault(seed: int) -> None:
-    """Raise an :class:`InjectedFaultError` per the drill env variable."""
-    spec = os.environ.get(FAULT_EVERY_ENV)
-    if not spec:
-        return
-    every = int(spec)
-    if every <= 0 or seed % every or seed in _FAULTED_SEEDS:
-        return
-    _FAULTED_SEEDS.add(seed)
-    raise InjectedFaultError(
-        f"fault drill: injected failure for trial seed {seed} "
-        f"({FAULT_EVERY_ENV}={every})"
+def _capture(items: Sequence[Tuple[int, int]], error: Exception) -> TrialFailure:
+    """Record ``error``, raised by the dispatch of ``items``."""
+    telemetry = get_telemetry()
+    telemetry.count("engine.trial_failures")
+    telemetry.count("engine.trial_failures", type=type(error).__name__)
+    return TrialFailure(
+        trial_index=items[0][0],
+        seeds=tuple(seed for _, seed in items),
+        exception_type=type(error).__name__,
+        message=str(error),
+        traceback=traceback_module.format_exc(),
     )
 
 
-def _execute_trial(
-    trial: TrialFn,
-    context: Optional[Dict[str, Any]],
-    static_args: Tuple[Any, ...],
-    index: int,
-    seed: int,
-    on_error: str,
-    max_retries: int,
-    start_attempt: int = 1,
-    prior_failure: Optional[TrialFailure] = None,
-) -> Tuple[Any, Optional[TrialFailure], int]:
-    """Run one trial under the isolation policy.
-
-    Returns ``(value, None, attempts)`` on success or ``(None,
-    TrialFailure, attempts)`` once the policy's attempts are exhausted —
-    the attempt count lets the parent emit ``trial_retry`` events
-    uniformly across execution paths.  Retries rebuild the generator
-    from the **same seed**, so a trial that recovers from a transient
-    fault returns the bit-identical value of an unfaulted run.
-
-    :func:`_run_batch_items` pre-checks the fault drill per item; when
-    an item already failed its first attempt there, it finishes here
-    with ``start_attempt=2`` and the captured ``prior_failure``, so its
-    retry/failure accounting is the same as an item that failed here.
-    """
-    telemetry = get_telemetry()
-    attempts = 1 + (max_retries if on_error == "retry" else 0)
-    failure: Optional[TrialFailure] = prior_failure
-    for attempt in range(start_attempt, attempts + 1):
-        if attempt > 1:
-            telemetry.count("engine.retries")
-        try:
-            _maybe_inject_fault(seed)
-            value = _call_trial(
-                trial, context, static_args, np.random.default_rng(seed)
-            )
-            return value, None, attempt
-        except ISOLATED_TRIAL_EXCEPTIONS as error:
-            failure = TrialFailure(
-                trial_index=index,
-                seed=seed,
-                exception_type=type(error).__name__,
-                message=str(error),
-                traceback=traceback_module.format_exc(),
-                attempts=attempt,
-            )
-    telemetry.count("engine.trial_failures")
-    telemetry.count("engine.trial_failures", type=failure.exception_type)
-    return None, failure, failure.attempts
-
-
-def _run_batch_items(
+def _call_trial(
     trial: TrialFn,
     context: Optional[Dict[str, Any]],
     static_args: Tuple[Any, ...],
     items: Sequence[Tuple[int, int]],
-    on_error: str,
-    max_retries: int,
-) -> List[Tuple[int, Any, Optional[TrialFailure], int]]:
-    """Execute one chunk of items through a batched trial function.
+) -> Tuple[List[Any], Optional[TrialFailure]]:
+    """Execute one chunk of ``(trial_index, seed)`` items.
 
-    The chunk's healthy items run as **one** batch call receiving a list
-    of generators rebuilt from each item's own stream seed, in item
-    order — so each row sees exactly the generator it would get in any
-    other chunking.  Items the fault drill pre-fails (and every item,
-    should the batch call itself raise) go one at a time through
-    :func:`_execute_trial`, whose single-row batch calls reproduce batch
-    rows bit-for-bit; retry and failure accounting is therefore the same
-    whatever the chunk size.
+    Returns the values in item order and, when a call raised, the
+    :class:`TrialFailure` that stops the run.  A batched trial gets
+    **one** call with a generator rebuilt from each item's own stream
+    seed, so each row sees exactly the generator it would get in any
+    other chunking; a raise there fails the whole dispatch.  A scalar
+    trial gets one call per item, and the chunk stops at the first raise.
     """
-    telemetry = get_telemetry()
-    results: List[Optional[Tuple[int, Any, Optional[TrialFailure], int]]] = (
-        [None] * len(items)
-    )
-    clean: List[Tuple[int, int, int]] = []
-    prefailed: List[Tuple[int, int, int, TrialFailure]] = []
-    for position, (index, seed) in enumerate(items):
+    if _is_batch_trial(trial):
         try:
-            _maybe_inject_fault(seed)
-        except InjectedFaultError as error:
-            prefailed.append(
-                (
-                    position,
-                    index,
-                    seed,
-                    TrialFailure(
-                        trial_index=index,
-                        seed=seed,
-                        exception_type=type(error).__name__,
-                        message=str(error),
-                        traceback=traceback_module.format_exc(),
-                        attempts=1,
-                    ),
-                )
+            rows = trial(
+                context, static_args,
+                [np.random.default_rng(seed) for _, seed in items],
             )
-        else:
-            clean.append((position, index, seed))
-    if clean:
-        rngs = [np.random.default_rng(seed) for _, _, seed in clean]
-        rows: Optional[Sequence[Any]] = None
-        try:
-            rows = trial(context, static_args, rngs)
-            if len(rows) != len(rngs):
+            if len(rows) != len(items):
                 raise ConfigurationError(
                     f"batched trial {getattr(trial, '__name__', trial)!r} "
-                    f"returned {len(rows)} rows for {len(rngs)} generators"
+                    f"returned {len(rows)} rows for {len(items)} generators"
                 )
-        except ISOLATED_TRIAL_EXCEPTIONS:
-            # The whole batch call failed; fall back to one-row calls
-            # so one poisoned realization cannot take down its chunk
-            # siblings and the isolation policy applies per trial.
-            telemetry.count("engine.batch_fallbacks")
-            rows = None
-        if rows is not None:
-            telemetry.count("engine.batched_trials", len(clean))
-            for (position, index, _seed), row in zip(clean, rows):
-                results[position] = (index, row, None, 1)
-        else:
-            for position, index, seed in clean:
-                value, failure, attempts = _execute_trial(
-                    trial, context, static_args, index, seed,
-                    on_error, max_retries,
-                )
-                results[position] = (index, value, failure, attempts)
-    for position, index, seed, failure in prefailed:
-        value, final_failure, attempts = _execute_trial(
-            trial, context, static_args, index, seed, on_error, max_retries,
-            start_attempt=2, prior_failure=failure,
-        )
-        results[position] = (index, value, final_failure, attempts)
-    return [outcome for outcome in results if outcome is not None]
+        except ISOLATED_TRIAL_EXCEPTIONS as error:
+            return [], _capture(items, error)
+        get_telemetry().count("engine.batched_trials", len(items))
+        return list(rows), None
+    values = []
+    for position, (_, seed) in enumerate(items):
+        try:
+            values.append(
+                trial(context, static_args, np.random.default_rng(seed))
+            )
+        except ISOLATED_TRIAL_EXCEPTIONS as error:
+            return values, _capture(items[position:position + 1], error)
+    return values, None
+
+
+# Worker-process globals installed by the pool initializer.
+_WORKER_CONTEXT: Optional[Dict[str, Any]] = None
 
 
 def _worker_init(context: Dict[str, Any], telemetry_enabled: bool) -> None:
@@ -376,38 +239,21 @@ def _run_chunk(
     trial: TrialFn,
     static_args: Tuple[Any, ...],
     items: Sequence[Tuple[int, int]],
-    on_error: str,
-    max_retries: int,
-) -> Tuple[
-    List[Tuple[int, Any, Optional[TrialFailure], int]], Optional[Dict[str, Any]]
-]:
+) -> Tuple[List[Any], Optional[TrialFailure], Optional[Dict[str, Any]]]:
     """Execute one chunk of ``(trial_index, seed)`` items in a worker.
 
-    Returns the indexed outcomes — each ``(index, value, failure,
-    attempts)``, with exceptions captured as :class:`TrialFailure`
-    records instead of propagating (a raising trial must not abort the
-    chunk's siblings) — plus this chunk's telemetry delta (the worker
-    telemetry is reset per chunk so deltas never double count).  No
-    events are emitted here: the parent emits them as chunks complete.
+    Returns :func:`_call_trial`'s values and failure plus this chunk's
+    telemetry delta (the worker telemetry is reset per chunk so deltas
+    never double count).  No events are emitted here: the parent emits
+    them as chunks complete.
     """
     telemetry = get_telemetry()
     if telemetry.enabled:
         telemetry.reset()
         telemetry.enable()
-    if _is_batch_trial(trial):
-        results = _run_batch_items(
-            trial, _WORKER_CONTEXT, static_args, items, on_error, max_retries
-        )
-    else:
-        results = []
-        for index, seed in items:
-            value, failure, attempts = _execute_trial(
-                trial, _WORKER_CONTEXT, static_args, index, seed,
-                on_error, max_retries,
-            )
-            results.append((index, value, failure, attempts))
+    values, failure = _call_trial(trial, _WORKER_CONTEXT, static_args, items)
     state = telemetry.dump_state() if telemetry.enabled else None
-    return results, state
+    return values, failure, state
 
 
 def _chunked(
@@ -427,13 +273,6 @@ class EngineSession:
     manager.  The pool (when parallel) is created lazily on the first
     :meth:`run` and reused across every sweep point of the experiment,
     so workers deserialize the prepared waveforms exactly once.
-
-    Attributes:
-        failures: every :class:`TrialFailure` observed in this session,
-            in trial order per run — populated under ``on_error="skip"``
-            and (before the raise) for the other policies.
-        pool_rebuilds: worker-pool rebuilds performed after a pool
-            crash (also counted on ``engine.pool_rebuilds``).
     """
 
     def __init__(self, engine: "MonteCarloEngine", context: Dict[str, Any]):
@@ -441,8 +280,6 @@ class EngineSession:
         self._context = context
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_failed = False
-        self.failures: List[TrialFailure] = []
-        self.pool_rebuilds = 0
 
     def __enter__(self) -> "EngineSession":
         return self
@@ -454,7 +291,7 @@ class EngineSession:
     def close(self) -> None:
         """Shut down the worker pool, if one was started.
 
-        Queued-but-unstarted chunks are cancelled so an exception or
+        Queued-but-unstarted chunks are cancelled so a failed trial or
         Ctrl-C mid-sweep exits promptly instead of draining the queue.
         """
         if self._pool is not None:
@@ -482,11 +319,8 @@ class EngineSession:
                 passed through to every trial unchanged.
 
         Raises:
-            TrialExecutionError: a trial raised and the engine policy is
-                ``"raise"``, or retries were exhausted under
-                ``"retry"``.  Under ``"skip"`` failed trials yield
-                ``None`` in their result slot and the records accumulate
-                on :attr:`failures`.
+            TrialExecutionError: a trial raised; its :class:`TrialFailure`
+                is on the error's ``failure``.
         """
         if count < 0:
             raise ConfigurationError("trial count must be non-negative")
@@ -528,13 +362,9 @@ class EngineSession:
         single ``run``.
         """
         count = len(seeds)
-        telemetry = get_telemetry()
-        telemetry.count("engine.trials", count)
+        get_telemetry().count("engine.trials", count)
         items = [(first_index + i, seed) for i, seed in enumerate(seeds)]
-        # Keyed by absolute trial index: the fixed-budget path uses a
-        # list (first_index == 0) semantics-identically, and the
-        # incremental path reuses every executor below unchanged.
-        results: Dict[int, Any] = {index: None for index, _ in items}
+        results: Dict[int, Any] = {}
         chunks = _chunked(items, self._engine.resolve_chunk_size(count))
         pool = self._acquire_pool()
         if pool is None:
@@ -543,41 +373,33 @@ class EngineSession:
             # sequence) matches it.
             for chunk in chunks:
                 self._run_items_in_process(trial, static_args, chunk, results)
-            return [results[index] for index, _ in items]
-        failures: List[TrialFailure] = []
-        lost = self._dispatch(pool, trial, static_args, chunks, results, failures)
-        if lost:
-            self._recover_lost_chunks(trial, static_args, lost, results, failures)
-        self._settle_failures(failures)
+        else:
+            self._dispatch(pool, trial, static_args, chunks, results)
         return [results[index] for index, _ in items]
 
-    # -- failure handling ---------------------------------------------
-
-    @staticmethod
-    def _emit_trial_events(
-        stream: Any,
+    def _collect(
+        self,
+        items: Sequence[Tuple[int, int]],
+        values: List[Any],
         failure: Optional[TrialFailure],
-        attempts: int,
-        index: int,
+        results: Dict[int, Any],
     ) -> None:
-        """Emit the per-trial retry/failure events for one outcome."""
-        if not stream.enabled:
-            return
-        if attempts > 1:
-            stream.trial_retry(index, attempts, recovered=failure is None)
+        """Fold one executed chunk into ``results``; raise its failure.
+
+        Emits the chunk's events: a heartbeat for the trials it
+        completed, then a ``trial_failure`` record if it raised.
+        """
+        stream = get_event_stream()
+        for (index, _), value in zip(items, values):
+            results[index] = value
+        if values:
+            stream.heartbeat(len(values))
         if failure is not None:
             stream.trial_failure(
-                index, failure.seed, failure.exception_type, failure.message
+                failure.trial_index, failure.seeds[0],
+                failure.exception_type, failure.message,
             )
-
-    def _settle_failures(self, failures: List[TrialFailure]) -> None:
-        """Record captured failures; raise them unless the policy skips."""
-        if not failures:
-            return
-        failures.sort(key=lambda failure: failure.trial_index)
-        self.failures.extend(failures)
-        if self._engine.on_error != "skip":
-            raise TrialExecutionError(failures[0])
+            raise TrialExecutionError(failure)
 
     def _run_items_in_process(
         self,
@@ -585,60 +407,15 @@ class EngineSession:
         static_args: Tuple[Any, ...],
         items: Sequence[Tuple[int, int]],
         results: Dict[int, Any],
-        failures: Optional[List[TrialFailure]] = None,
     ) -> None:
-        """Sequential executor: same isolation policy, no pool.
+        """Sequential executor: the parallel path's chunk, in process.
 
-        Used for ``workers=1``, the pool-creation fallback, and the
-        re-execution of chunks lost to a pool crash, so every execution
-        path produces identical results *and* identical failure
-        accounting.  With ``failures=None`` a failure settles (and may
-        raise) eagerly — there is no fleet to drain first; recovery
-        passes the run's shared list to defer settling until every lost
-        chunk was re-executed.  Emits the same per-trial events and the
-        same end-of-chunk heartbeat the parallel collector emits.
+        Used for ``workers=1``, after a pool fallback, and for the
+        chunks lost to a dead worker, so every execution path produces
+        identical results, failures and events.
         """
-        engine = self._engine
-        stream = get_event_stream()
-        if _is_batch_trial(trial):
-            outcomes = _run_batch_items(
-                trial, self._context, static_args, items,
-                engine.on_error, engine.max_retries,
-            )
-            chunk_failures: List[TrialFailure] = []
-            for index, value, failure, attempts in outcomes:
-                results[index] = value
-                self._emit_trial_events(stream, failure, attempts, index)
-                if failure is not None:
-                    chunk_failures.append(failure)
-            if outcomes:
-                stream.heartbeat(len(outcomes))
-            if chunk_failures:
-                if failures is None:
-                    self._settle_failures(chunk_failures)
-                else:
-                    failures.extend(chunk_failures)
-            return
-        completed = 0
-        for index, seed in items:
-            value, failure, attempts = _execute_trial(
-                trial, self._context, static_args, index, seed,
-                engine.on_error, engine.max_retries,
-            )
-            results[index] = value
-            completed += 1
-            self._emit_trial_events(stream, failure, attempts, index)
-            if failure is not None:
-                if failures is None:
-                    if engine.on_error != "skip":
-                        # Settling is about to raise; flush progress so
-                        # the aborted run's stream records it.
-                        stream.heartbeat(completed)
-                    self._settle_failures([failure])
-                else:
-                    failures.append(failure)
-        if completed:
-            stream.heartbeat(completed)
+        values, failure = _call_trial(trial, self._context, static_args, items)
+        self._collect(items, values, failure, results)
 
     # -- pool management ----------------------------------------------
 
@@ -649,95 +426,54 @@ class EngineSession:
         static_args: Tuple[Any, ...],
         chunks: List[List[Tuple[int, int]]],
         results: Dict[int, Any],
-        failures: List[TrialFailure],
-    ) -> List[List[Tuple[int, int]]]:
+    ) -> None:
         """Submit chunks and fold completed results in submission order.
 
-        Returns the chunks whose results were lost to a pool crash
-        (``BrokenProcessPool`` / timeout); chunks that completed before
-        the crash are kept — that is the whole point.
+        A chunk lost to a dead worker (``BrokenProcessPool`` / timeout)
+        re-runs in the parent, in its place in that order; chunks that
+        completed before the crash are kept.
         """
-        engine = self._engine
         telemetry = get_telemetry()
         submitted = []
         for chunk in chunks:
             try:
-                future = pool.submit(
-                    _run_chunk, trial, static_args, chunk,
-                    engine.on_error, engine.max_retries,
-                )
-            except POOL_CRASH_EXCEPTIONS:
-                # A pool that died mid-loop rejects new work; treat the
-                # rest of the batch as lost and let recovery rerun it.
+                future = pool.submit(_run_chunk, trial, static_args, chunk)
+            except POOL_CRASH_EXCEPTIONS as error:
+                # A pool that died mid-loop rejects new work; the rest
+                # of the batch runs in the parent.
+                self._fall_back(error)
                 future = None
             submitted.append((future, chunk))
-        lost = []
-        stream = get_event_stream()
         # Collect in submission order so telemetry merges (histogram
-        # reservoir fill) and event emission stay deterministic for a
-        # fixed chunking.
+        # reservoir fill), event emission and the failure raised stay
+        # deterministic for a fixed chunking.
         for future, chunk in submitted:
-            if future is None:
-                lost.append(chunk)
+            outcome = None
+            if future is not None:
+                try:
+                    outcome = future.result()
+                except POOL_CRASH_EXCEPTIONS as error:
+                    self._fall_back(error)
+            if outcome is None:
+                telemetry.count("engine.trials_reexecuted", len(chunk))
+                self._run_items_in_process(trial, static_args, chunk, results)
                 continue
-            try:
-                indexed, state = future.result()
-            except POOL_CRASH_EXCEPTIONS:
-                lost.append(chunk)
-                continue
-            for index, value, failure, attempts in indexed:
-                results[index] = value
-                self._emit_trial_events(stream, failure, attempts, index)
-                if failure is not None:
-                    failures.append(failure)
+            values, failure, state = outcome
             if state is not None:
                 telemetry.merge_state(state)
-            stream.heartbeat(len(indexed))
-        return lost
+            self._collect(chunk, values, failure, results)
 
-    def _recover_lost_chunks(
-        self,
-        trial: TrialFn,
-        static_args: Tuple[Any, ...],
-        lost: List[List[Tuple[int, int]]],
-        results: Dict[int, Any],
-        failures: List[TrialFailure],
-    ) -> None:
-        """Re-execute chunks lost to a pool crash; completed ones stay.
-
-        The pool is rebuilt once; if the rebuild fails or the rebuilt
-        pool dies too, the remaining chunks run sequentially in the
-        parent (and the session stops using pools altogether).
-        """
+    def _fall_back(self, error: BaseException) -> None:
+        """Stop using pools for this session; count and announce it once."""
+        if self._pool_failed:
+            return
+        self._pool_failed = True
+        self._engine.used_fallback = True
+        reason = type(error).__name__
         telemetry = get_telemetry()
-        self.pool_rebuilds += 1
-        telemetry.count("engine.pool_rebuilds")
-        trials_lost = sum(len(chunk) for chunk in lost)
-        telemetry.count("engine.trials_reexecuted", trials_lost)
-        get_event_stream().pool_rebuild(trials_lost)
-        rebuilt = self._rebuild_pool()
-        if rebuilt is not None:
-            lost = self._dispatch(
-                rebuilt, trial, static_args, lost, results, failures
-            )
-            if lost:
-                # The rebuilt pool died as well — stop trusting pools
-                # for the rest of this session.
-                self.close()
-                self._pool_failed = True
-                self._engine.used_fallback = True
-        for chunk in lost:
-            self._run_items_in_process(
-                trial, static_args, chunk, results, failures
-            )
-
-    def _rebuild_pool(self) -> Optional[ProcessPoolExecutor]:
-        """Replace a crashed pool; ``None`` when recreation fails too."""
-        pool = self._pool
-        self._pool = None
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        return self._acquire_pool()
+        telemetry.count("engine.pool_fallbacks")
+        telemetry.count("engine.pool_fallbacks", reason=reason)
+        get_event_stream().pool_fallback(reason)
 
     def _acquire_pool(self) -> Optional[ProcessPoolExecutor]:
         """The session's pool, or ``None`` when running sequentially."""
@@ -768,13 +504,7 @@ class EngineSession:
                 # (OSError/ImportError from _multiprocessing), or start
                 # methods the platform refuses (RuntimeError /
                 # NotImplementedError).  Degrade to sequential.
-                self._pool_failed = True
-                engine.used_fallback = True
-                telemetry.count("engine.pool_fallbacks")
-                telemetry.count(
-                    "engine.pool_fallbacks", reason=type(error).__name__
-                )
-                get_event_stream().pool_fallback(type(error).__name__)
+                self._fall_back(error)
                 return None
             telemetry.set_gauge("engine.workers", engine.workers)
         return self._pool
@@ -836,7 +566,7 @@ class IncrementalRun:
 
 
 class MonteCarloEngine:
-    """Policy object: workers, chunking, and failure handling.
+    """Policy object: workers and chunking.
 
     Attributes:
         workers: worker process count; ``None`` or ``1`` selects the
@@ -845,23 +575,15 @@ class MonteCarloEngine:
             resolves to the host CPU count.
         chunk_size: trials per dispatched chunk; ``None`` derives it
             per run (see :meth:`resolve_chunk_size`).
-        on_error: trial-failure policy — ``"raise"`` (default) turns
-            the first failure into :class:`TrialExecutionError`,
-            ``"retry"`` re-runs a failing trial up to ``max_retries``
-            times from the same seed before raising, ``"skip"`` records
-            the failure and leaves ``None`` in the result slot.
-        max_retries: bounded re-executions per trial under ``"retry"``.
         used_fallback: set when a parallel run degraded to sequential
-            because the process pool could not be created (or died and
-            could not be rebuilt).
+            because the process pool could not be created or a worker
+            died.
     """
 
     def __init__(
         self,
         workers: Union[int, str, None] = None,
         chunk_size: Optional[int] = None,
-        on_error: str = "raise",
-        max_retries: int = 2,
     ):
         if workers == "auto":
             workers = os.cpu_count() or 1
@@ -873,16 +595,8 @@ class MonteCarloEngine:
             raise ConfigurationError("workers must be >= 1")
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
-        if on_error not in ON_ERROR_POLICIES:
-            raise ConfigurationError(
-                f"on_error must be one of {ON_ERROR_POLICIES}, not {on_error!r}"
-            )
-        if max_retries < 0:
-            raise ConfigurationError("max_retries must be non-negative")
         self.workers = int(workers) if workers else 1
         self.chunk_size = chunk_size
-        self.on_error = on_error
-        self.max_retries = int(max_retries)
         self.used_fallback = False
 
     def resolve_chunk_size(self, count: int) -> int:

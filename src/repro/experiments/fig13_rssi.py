@@ -11,13 +11,12 @@ real-environment channel.  Each measured packet is one engine trial, so
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.channel.pathloss import LinkBudget
 from repro.experiments.common import prepare_authentic
-from repro.experiments.defense_common import mean_or_nan
 from repro.experiments.sweep import (
     PointReduction,
     PointSpec,
@@ -43,11 +42,6 @@ def _rssi_trial(
     return mean_rx_dbm + relative_db
 
 
-def _rssi_value(value: Optional[float]) -> Optional[float]:
-    """Adaptive-mean observation: the trial already returns dBm/None."""
-    return value
-
-
 def _mean_budget(config: Mapping[str, Any]) -> LinkBudget:
     # Calibration and the analytic column use the shadowing-free budget
     # mean; per-trial channels still draw shadowing from their streams.
@@ -69,7 +63,7 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
             streams=(StreamSpec(
                 key=key, rng_slot=i, budget=per_point, trial=_rssi_trial,
                 static_args=(distance, mean_rx_dbm),
-                kind="mean", extract=_rssi_value,
+                kind="mean",
             ),),
             started_trials=per_point,
             meta={"distance_m": distance, "mean_rx_dbm": mean_rx_dbm},
@@ -104,18 +98,14 @@ def _reduce_point(reduction: PointReduction) -> Dict[str, Any]:
     key = reduction.point.key
     estimator = RssiEstimator(reference_dbm=0.0)
     outcome = reduction.outcomes[key]
-    readings = [r for r in outcome.results if r is not None]
+    readings = outcome.results
     row = {
         "distance_m": meta["distance_m"],
         "budget_rssi_dbm": estimator.estimate_from_power_dbm(
             meta["mean_rx_dbm"]
         ),
-        # A point whose every trial was skipped has no readings: NaN.
-        "measured_rssi_dbm": mean_or_nan(readings),
-        "fading_spread_db": (
-            float(np.max(readings) - np.min(readings))
-            if readings else float("nan")
-        ),
+        "measured_rssi_dbm": float(np.mean(readings)),
+        "fading_spread_db": float(np.max(readings) - np.min(readings)),
     }
     if reduction.adaptive:
         row["trials_used"] = outcome.trials_used

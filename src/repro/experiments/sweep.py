@@ -99,8 +99,8 @@ ENVIRONMENT_CHANNEL_KEYS = SNR_CHANNEL_KEYS | {"path_loss_exponent"}
 #: :meth:`SweepSpec.run` keywords passed straight to :func:`run_sweep`;
 #: every other keyword is a config override.
 RUN_OPTIONS = (
-    "rng", "workers", "chunk_size", "on_error", "checkpoint_dir", "resume",
-    "adaptive", "rel_precision", "max_trials",
+    "rng", "workers", "chunk_size", "checkpoint_dir", "resume", "adaptive",
+    "rel_precision", "max_trials",
 )
 
 #: Detector kwargs a scenario may override.
@@ -683,7 +683,6 @@ def run_sweep(
     rng: RngLike = None,
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    on_error: str = "raise",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     adaptive: bool = False,
@@ -699,7 +698,6 @@ def run_sweep(
         rng: randomness; an integer seed pins the whole run.
         workers: Monte Carlo engine worker processes (default: serial).
         chunk_size: trials per engine dispatch (default: derived).
-        on_error: trial-failure policy (``raise``/``retry``/``skip``).
         checkpoint_dir: persist each completed unit atomically.
         resume: serve completed units from ``checkpoint_dir`` (requires
             an integer seed and a matching fingerprint: same seed,
@@ -740,9 +738,7 @@ def run_sweep(
         AdaptiveConfig(rel_precision=rel_precision, max_trials=max_trials)
         if adaptive else None
     )
-    engine = MonteCarloEngine(
-        workers=workers, chunk_size=chunk_size, on_error=on_error
-    )
+    engine = MonteCarloEngine(workers=workers, chunk_size=chunk_size)
     fingerprint: Dict[str, Any] = {"seed": seed}
     fingerprint.update(config_fingerprint(spec, config))
     scenario = scenario_fragment(config)

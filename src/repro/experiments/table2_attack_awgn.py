@@ -79,8 +79,8 @@ def _emulated_trial(
 
 
 def _delivered_flag(row: Any) -> bool:
-    """Adaptive-rate observation: delivered, with skipped rows failing."""
-    return bool(row is not None and row[0])
+    """Adaptive-rate observation: the emulated frame was delivered."""
+    return bool(row[0])
 
 
 def _authentic_flag(row: Any) -> bool:

@@ -6,7 +6,7 @@ flakier, or *wrong*?" by comparing two run directories:
 * **result rows** — cell-by-cell per experiment (NaN == NaN, so an
   undefined cell is not a perpetual diff);
 * **counters** — every telemetry counter, with special standing for the
-  failure-class counters (trial failures, pool rebuilds/fallbacks);
+  failure-class counters (trial failures, pool fallbacks);
 * **timing** — the span tree flattened to ``path -> seconds`` plus the
   run's wall clock (from the ``run_finished`` event, falling back to
   the finalized manifest).
@@ -37,7 +37,6 @@ from repro.telemetry.registry import RunDirectory
 #: (``engine.trial_failures{type=ValueError}``).
 FAILURE_COUNTERS = (
     "engine.trial_failures",
-    "engine.pool_rebuilds",
     "engine.pool_fallbacks",
 )
 

@@ -3,8 +3,8 @@
 Where spans and counters answer "where did the time go" *after* a run,
 the event stream answers "what is happening *right now*" — and leaves a
 durable, replayable record of it.  Instrumented code emits typed events
-(run/point lifecycle, trial failures and retries, pool rebuilds,
-checkpoint hits, heartbeats with throughput and ETA) through the
+(run/point lifecycle, trial failures, pool fallbacks, checkpoint
+hits, heartbeats with throughput and ETA) through the
 process-wide :class:`EventStream`; attached sinks decide where they go:
 
 * :class:`FileEventSink` — one JSON object per line, appended and
@@ -80,18 +80,8 @@ EVENT_SCHEMAS = {
         ),
         "open": False,
     },
-    "trial_retry": {
-        "required": ("trial_index", "attempts", "recovered"),
-        "optional": (),
-        "open": False,
-    },
     "trial_failure": {
         "required": ("trial_index", "seed", "exception_type", "message"),
-        "optional": (),
-        "open": False,
-    },
-    "pool_rebuild": {
-        "required": ("trials_lost",),
         "optional": (),
         "open": False,
     },
@@ -179,7 +169,7 @@ class StderrProgressSink(EventSink):
     """Human-facing live progress: one rewritten status line on stderr.
 
     Heartbeats redraw a single ``\\r``-terminated line with trials done,
-    throughput, and ETA; lifecycle events (points, failures, rebuilds)
+    throughput, and ETA; lifecycle events (points, failures, fallbacks)
     finish the open line and print one log line each, so a watched sweep
     reads as a scrolling journal with a live ticker at the bottom.
     """
@@ -370,26 +360,15 @@ class EventStream:
         self.emit("point_converged", experiment=experiment, point=point,
                   trials_used=trials_used, **fields)
 
-    def trial_retry(
-        self, trial_index: int, attempts: int, recovered: bool
-    ) -> None:
-        """A trial needed more than one attempt (maybe recovering)."""
-        self.emit("trial_retry", trial_index=trial_index, attempts=attempts,
-                  recovered=recovered)
-
     def trial_failure(
         self, trial_index: int, seed: int, exception_type: str, message: str
     ) -> None:
-        """A trial exhausted its policy's attempts."""
+        """A trial raised (the first of its dispatch); the run fails."""
         self.emit("trial_failure", trial_index=trial_index, seed=seed,
                   exception_type=exception_type, message=message)
 
-    def pool_rebuild(self, trials_lost: int) -> None:
-        """The worker pool died and is being rebuilt."""
-        self.emit("pool_rebuild", trials_lost=trials_lost)
-
     def pool_fallback(self, reason: str) -> None:
-        """The worker pool could not be created; degrading to serial."""
+        """The worker pool could not be created or died; going serial."""
         self.emit("pool_fallback", reason=reason)
 
     def checkpoint_hit(self, experiment: str, key: str) -> None:
@@ -453,7 +432,7 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Roll one event stream up into run-level facts.
 
     Returns a dict with per-type counts plus the derived fields a
-    report needs: retries/failures/rebuilds/fallbacks, checkpoint
+    report needs: failures/fallbacks, checkpoint
     hits/saves, points finished, final trial count and rate (from the
     last heartbeat), and the run's status and elapsed seconds (from
     ``run_finished``, when one was recorded).
@@ -472,9 +451,7 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     return {
         "events": len(events),
         "counts": counts,
-        "retries": counts["trial_retry"],
         "failures": counts["trial_failure"],
-        "pool_rebuilds": counts["pool_rebuild"],
         "pool_fallbacks": counts["pool_fallback"],
         "checkpoint_hits": counts["checkpoint_hit"],
         "checkpoint_saves": counts["checkpoint_saved"],

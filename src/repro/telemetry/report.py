@@ -6,7 +6,7 @@ share of parent), a bar chart of top-level stages (via
 :mod:`repro.utils.terminal_plot`), and the metric table.  Pointed at a
 run *directory* (``report .repro-runs/<id>``) it renders the same
 report from ``metrics.json`` plus the event-derived
-failure/retry/rebuild summary (:func:`render_run_directory`).
+failure/fallback summary (:func:`render_run_directory`).
 """
 
 from __future__ import annotations
@@ -156,8 +156,7 @@ def format_event_summary(summary: Dict[str, Any]) -> str:
         f"points finished: {summary['points_finished']}"
     )
     lines.append(
-        f"  retries: {summary['retries']}   failures: {summary['failures']}   "
-        f"pool rebuilds: {summary['pool_rebuilds']}   "
+        f"  failures: {summary['failures']}   "
         f"pool fallbacks: {summary['pool_fallbacks']}"
     )
     lines.append(

@@ -7,11 +7,15 @@ per session: they are deterministic, and dozens of tests only need to
 
 from __future__ import annotations
 
+import contextlib
+import functools
+
 import numpy as np
 import pytest
 
 from repro.attack.emulator import WaveformEmulationAttack
 from repro.experiments.common import prepare_authentic, prepare_emulated
+from repro.experiments.sweep import StreamSpec
 from repro.zigbee.receiver import ReceiverConfig, ZigBeeReceiver
 from repro.zigbee.transmitter import ZigBeeTransmitter
 
@@ -56,3 +60,44 @@ def emulation_result(emulated_link):
 @pytest.fixture(scope="session")
 def attack() -> WaveformEmulationAttack:
     return WaveformEmulationAttack(rng=7)
+
+
+class PlantedFault(RuntimeError):
+    """The failure :func:`seed_fault` plants in a sweep's trials."""
+
+
+def _raising_on_seeds(trial, every):
+    """``trial``, raising first when handed a seed divisible by ``every``.
+
+    Keeps the calling convention: a batched trial raises when any of its
+    generators was built from such a seed, before computing any row.
+    """
+    batched = bool(getattr(trial, "batch", False))
+
+    @functools.wraps(trial)
+    def planted(context, args, rngs):
+        for rng in rngs if batched else [rngs]:
+            seed = int(rng.bit_generator.seed_seq.entropy)
+            if seed % every == 0:
+                raise PlantedFault(f"planted failure at seed {seed}")
+        return trial(context, args, rngs)
+
+    return planted
+
+
+@pytest.fixture
+def seed_fault(monkeypatch):
+    """``with seed_fault(every):`` every sweep trial handed a stream seed
+    divisible by ``every`` raises, so a serial sweep aborts there."""
+
+    @contextlib.contextmanager
+    def plant(every):
+        resolve = StreamSpec.resolve_trial
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                StreamSpec, "resolve_trial",
+                lambda spec, batch: _raising_on_seeds(resolve(spec, batch), every),
+            )
+            yield
+
+    return plant

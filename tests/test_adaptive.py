@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TrialExecutionError
-from repro.experiments import engine as engine_module
 from repro.experiments import table2_attack_awgn
 from repro.experiments.adaptive import (
     Z_95,
@@ -17,7 +16,7 @@ from repro.experiments.adaptive import (
     increment,
     wilson_interval,
 )
-from repro.experiments.engine import FAULT_EVERY_ENV, MonteCarloEngine
+from repro.experiments.engine import MonteCarloEngine
 from repro.telemetry import get_telemetry
 from repro.telemetry.events import MemoryEventSink, get_event_stream
 
@@ -437,27 +436,24 @@ class TestAdaptiveCheckpoint:
         assert all("trials_used" in row for row in resumed.rows)
 
     def test_killed_adaptive_sweep_resumes_to_the_fresh_rows(
-        self, tmp_path, monkeypatch
+        self, tmp_path, seed_fault
     ):
-        # 17 dB converges in pass 1 and is saved before settle; the
-        # fault drill then kills the run inside 13 dB's pass 1.  On
+        # 17 dB converges in pass 1 and is saved before settle; a trial
+        # raising on seeds divisible by 11 then kills the run inside
+        # 13 dB's pass 1.  On
         # resume, 17 dB's unspent budget must rejoin the pool, or 7 dB
         # (which needs reallocated trials) would get fewer than before.
         params = dict(
             snrs_db=(17, 7, 13), trials=20, include_authentic=False,
             screen_defense=False, adaptive=True,
         )
-        monkeypatch.setenv(FAULT_EVERY_ENV, "11")
-        engine_module._FAULTED_SEEDS.clear()
-        with pytest.raises(TrialExecutionError):
+        with seed_fault(11), pytest.raises(TrialExecutionError):
             table2_attack_awgn.run(
                 rng=1, checkpoint_dir=str(tmp_path), **params
             )
         saved = sorted(p.name for p in (tmp_path / "table2").glob("point_*"))
         assert saved == ["point_snr17.json"]
 
-        monkeypatch.delenv(FAULT_EVERY_ENV)
-        engine_module._FAULTED_SEEDS.clear()
         fresh = table2_attack_awgn.run(rng=1, **params)
         resumed = table2_attack_awgn.run(
             rng=1, checkpoint_dir=str(tmp_path), resume=True, **params

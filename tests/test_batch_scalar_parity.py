@@ -3,8 +3,7 @@
 Each scalar kernel is a one-row call of its ``*_batch`` form, so the
 property that keeps batched Monte Carlo rows reproducible is row
 independence: an N-row batch equals N one-row calls, bit for bit.  The
-engine relies on it whenever it retries or falls back to a single row,
-and the sweep oracles rely on it whenever the chunking changes.  Each
+sweep oracles rely on it whenever the chunking changes.  Each
 test pins one kernel, so a regression names the kernel that broke.
 """
 

@@ -2,8 +2,7 @@
 
 A trial declared with ``batch_trial`` receives one RNG per row and
 returns one row per RNG; its rows must not depend on how the engine
-chunks them, on the worker count, or on the injected-fault drill (whose
-retries run single-row batches).  These tests pin that contract at
+chunks them or on the worker count.  These tests pin that contract at
 three levels: toy engine trials against a plain-calling-convention
 trial, the vectorized receive/detect kernels, and the full
 table2/table4/fig14 experiment drivers.
@@ -12,27 +11,13 @@ table2/table4/fig14 experiment drivers.
 import numpy as np
 import pytest
 
-from repro.experiments import engine as engine_module
 from repro.experiments import (
     fig14_error_rates,
     table2_attack_awgn,
     table4_de2_snr,
 )
-from repro.experiments.engine import (
-    FAULT_EVERY_ENV,
-    MonteCarloEngine,
-    batch_trial,
-)
+from repro.experiments.engine import MonteCarloEngine, batch_trial
 from repro.telemetry import get_telemetry
-
-
-@pytest.fixture(autouse=True)
-def _clean_fault_drill(monkeypatch):
-    """Isolate each test from the process-wide fault-drill state."""
-    monkeypatch.delenv(FAULT_EVERY_ENV, raising=False)
-    engine_module._FAULTED_SEEDS.clear()
-    yield
-    engine_module._FAULTED_SEEDS.clear()
 
 
 def _scalar_draw(context, args, rng):
@@ -54,10 +39,8 @@ def _wrong_row_count(context, args, rngs):
     return [0.0] * (len(rngs) + 1)
 
 
-def _run(trial, workers=1, chunk_size=None, count=17, on_error="raise"):
-    engine = MonteCarloEngine(
-        workers=workers, chunk_size=chunk_size, on_error=on_error
-    )
+def _run(trial, workers=1, chunk_size=None, count=17):
+    engine = MonteCarloEngine(workers=workers, chunk_size=chunk_size)
     with engine.session({}) as session:
         return session.run(trial, count, rng=42, static_args=(2.5,))
 
@@ -90,41 +73,9 @@ class TestEngineBatchedPath:
     def test_wrong_row_count_is_a_configuration_error(self):
         from repro.errors import TrialExecutionError
 
-        with pytest.raises(TrialExecutionError):
+        with pytest.raises(TrialExecutionError) as excinfo:
             _run(_wrong_row_count, count=4)
-
-    def test_fault_drill_retries_bit_identically(self, monkeypatch):
-        reference = _run(_scalar_draw)
-        monkeypatch.setenv(FAULT_EVERY_ENV, "3")
-        for workers in (1, 2):
-            engine_module._FAULTED_SEEDS.clear()
-            got = _run(
-                _batched_draw, workers=workers, chunk_size=5,
-                on_error="retry",
-            )
-            assert got == reference
-
-    def test_fault_drill_counter_parity_with_scalar(self, monkeypatch):
-        """Retry/failure counters match the scalar path under the drill."""
-        monkeypatch.setenv(FAULT_EVERY_ENV, "2")
-
-        def _counters(trial):
-            engine_module._FAULTED_SEEDS.clear()
-            telemetry = get_telemetry()
-            telemetry.reset()
-            telemetry.enable()
-            try:
-                _run(trial, chunk_size=4, on_error="retry")
-                counters = telemetry.registry.snapshot()["counters"]
-            finally:
-                telemetry.disable()
-                telemetry.reset()
-            return {
-                name: value for name, value in counters.items()
-                if name in ("engine.retries", "engine.trial_failures")
-            }
-
-        assert _counters(_batched_draw) == _counters(_scalar_draw)
+        assert excinfo.value.failure.exception_type == "ConfigurationError"
 
 
 class TestKernelEquivalence:
@@ -221,11 +172,3 @@ class TestExperimentBitIdentity:
         serial = fig14_error_rates.run(**kwargs)
         parallel = fig14_error_rates.run(workers=2, chunk_size=2, **kwargs)
         assert parallel.rows == serial.rows
-
-    def test_table2_rows_identical_under_fault_drill(self, monkeypatch):
-        kwargs = {"snrs_db": (17,), "trials": 6, "rng": 5}
-        reference = table2_attack_awgn.run(**kwargs)
-        monkeypatch.setenv(FAULT_EVERY_ENV, "3")
-        engine_module._FAULTED_SEEDS.clear()
-        drilled = table2_attack_awgn.run(on_error="retry", **kwargs)
-        assert drilled.rows == reference.rows

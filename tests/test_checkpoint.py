@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TrialExecutionError
-from repro.experiments import engine as engine_module
 from repro.experiments import table2_attack_awgn, table4_de2_snr
 from repro.experiments.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointStore,
     open_checkpoint_store,
 )
-from repro.experiments.engine import FAULT_EVERY_ENV
 from repro.telemetry import get_telemetry
 from repro.utils.io import atomic_write_json, read_json
 
@@ -224,21 +222,17 @@ class TestDriverResume:
                 **self.PARAMS
             )
 
-    def test_killed_sweep_resumes_to_the_fresh_rows(self, tmp_path, monkeypatch):
-        # Simulate a run killed between sweep points: at seed 3 the
-        # fault drill with N=5 leaves the first SNR point checkpointed
-        # and aborts (on_error="raise") inside the second.
-        monkeypatch.setenv(FAULT_EVERY_ENV, "5")
-        engine_module._FAULTED_SEEDS.clear()
-        with pytest.raises(TrialExecutionError):
+    def test_killed_sweep_resumes_to_the_fresh_rows(self, tmp_path, seed_fault):
+        # Simulate a run killed between sweep points: at seed 3 a trial
+        # raising on seeds divisible by 5 leaves the first SNR point
+        # checkpointed and aborts the run inside the second.
+        with seed_fault(5), pytest.raises(TrialExecutionError):
             table2_attack_awgn.run(
                 rng=3, checkpoint_dir=str(tmp_path), **self.PARAMS
             )
         assert (tmp_path / "table2" / "point_snr15.json").exists()
         assert not (tmp_path / "table2" / "point_snr17.json").exists()
 
-        monkeypatch.delenv(FAULT_EVERY_ENV)
-        engine_module._FAULTED_SEEDS.clear()
         fresh = table2_attack_awgn.run(rng=3, **self.PARAMS)
         telemetry = get_telemetry()
         telemetry.reset()
@@ -255,27 +249,20 @@ class TestDriverResume:
         assert resumed.rows == fresh.rows
 
     def test_killed_stream_unit_sweep_resumes_to_the_fresh_rows(
-        self, tmp_path, monkeypatch
+        self, tmp_path, seed_fault
     ):
-        # table4 checkpoints each (SNR, class) stream.  At seed 4 the
-        # fault drill with N=7 aborts (on_error="raise") inside the last
+        # table4 checkpoints each (SNR, class) stream.  At seed 4 a trial
+        # raising on seeds divisible by 7 aborts the run inside the last
         # stream, after the first three were saved.
         params = {"snrs_db": (7, 17), "waveforms_per_point": 3}
-        monkeypatch.setenv(FAULT_EVERY_ENV, "7")
-        engine_module._FAULTED_SEEDS.clear()
-        with pytest.raises(TrialExecutionError):
-            table4_de2_snr.run(
-                rng=4, checkpoint_dir=str(tmp_path), on_error="raise",
-                **params
-            )
+        with seed_fault(7), pytest.raises(TrialExecutionError):
+            table4_de2_snr.run(rng=4, checkpoint_dir=str(tmp_path), **params)
         saved = sorted(p.name for p in (tmp_path / "table4").glob("point_*"))
         assert saved == [
             "point_snr17.zigbee.json", "point_snr7.emulated.json",
             "point_snr7.zigbee.json",
         ]
 
-        monkeypatch.delenv(FAULT_EVERY_ENV)
-        engine_module._FAULTED_SEEDS.clear()
         fresh = table4_de2_snr.run(rng=4, **params)
         telemetry = get_telemetry()
         telemetry.reset()
@@ -290,10 +277,3 @@ class TestDriverResume:
             telemetry.disable()
             telemetry.reset()
         assert resumed.rows == fresh.rows
-
-    def test_faulted_retry_run_matches_unfaulted_rows(self, tmp_path, monkeypatch):
-        fresh = table2_attack_awgn.run(rng=3, **self.PARAMS)
-        monkeypatch.setenv(FAULT_EVERY_ENV, "5")
-        engine_module._FAULTED_SEEDS.clear()
-        faulted = table2_attack_awgn.run(rng=3, on_error="retry", **self.PARAMS)
-        assert faulted.rows == fresh.rows

@@ -111,14 +111,20 @@ class TestFaultToleranceFlags:
         with pytest.raises(SystemExit):
             main(["run", "table2", "--workers", "many"])
 
-    def test_workers_auto_and_on_error_accepted(self, capsys):
+    def test_workers_auto_accepted(self, capsys):
         import json
 
         assert main(["run", "table2", "--trials", "2", "--seed", "1",
-                     "--workers", "auto", "--on-error", "retry",
-                     "--json"]) == 0
+                     "--workers", "auto", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["experiment_id"] == "table2"
+
+    def test_on_error_flag_is_rejected(self, capsys):
+        # A raising trial always fails the run; there is no policy flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "table2", "--trials", "2", "--on-error", "skip"])
+        assert excinfo.value.code == 2
+        assert "--on-error" in capsys.readouterr().err
 
     def test_checkpoint_then_resume_round_trip(self, tmp_path, capsys):
         import json

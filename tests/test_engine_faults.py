@@ -1,15 +1,14 @@
-"""Engine fault tolerance: isolation, retries, pool-crash recovery."""
+"""Engine failures: a raising trial fails the run; a dead worker goes serial."""
 
-import math
 import os
 
 import pytest
 
 from repro.errors import ConfigurationError, TrialExecutionError
 from repro.experiments import engine as engine_module
-from repro.experiments import fig13_rssi
-from repro.experiments.engine import FAULT_EVERY_ENV, MonteCarloEngine
+from repro.experiments.engine import MonteCarloEngine, batch_trial
 from repro.telemetry import get_telemetry
+from repro.utils.rng import spawn_seeds
 
 
 def _draw_trial(context, args, rng):
@@ -26,13 +25,29 @@ def _interrupt_trial(context, args, rng):
     raise KeyboardInterrupt
 
 
-@pytest.fixture(autouse=True)
-def _clean_fault_drill(monkeypatch):
-    """Isolate each test from the process-wide fault-drill state."""
-    monkeypatch.delenv(FAULT_EVERY_ENV, raising=False)
-    engine_module._FAULTED_SEEDS.clear()
-    yield
-    engine_module._FAULTED_SEEDS.clear()
+#: Seeds of a 20-trial run at ``rng=5``; trial :data:`_FAILING_TRIAL`
+#: raises in the planted trials below.
+_SEEDS = spawn_seeds(5, 20)
+_FAILING_TRIAL = 11
+
+
+def _raise_on_failing_seed(rng):
+    if int(rng.bit_generator.seed_seq.entropy) == _SEEDS[_FAILING_TRIAL]:
+        raise ValueError("planted failure")
+
+
+def _planted_trial(context, args, rng):
+    """A scalar trial that raises on one chosen seed."""
+    _raise_on_failing_seed(rng)
+    return float(rng.normal())
+
+
+@batch_trial
+def _planted_batch_trial(context, args, rngs):
+    """The batched twin of :func:`_planted_trial`."""
+    for rng in rngs:
+        _raise_on_failing_seed(rng)
+    return [float(rng.normal()) for rng in rngs]
 
 
 def _serial_baseline(count=10, rng=5, scale=1.5):
@@ -56,8 +71,8 @@ class _FakeFuture:
 class _FakePool:
     """ProcessPoolExecutor stand-in executing chunks in-process.
 
-    The first ``crash_pools`` instances complete only their first
-    submitted chunk and report every later chunk as lost to a
+    With ``crash_pools = 1`` the first instance completes only its
+    first submitted chunk and reports every later chunk as lost to a
     ``BrokenProcessPool`` — the shape of a worker OOM kill mid-sweep.
     Subclass per test so the instance/crash counters start fresh.
     """
@@ -92,113 +107,115 @@ class TestTrialIsolation:
                 session.run(_failing_trial, 3, rng=1)
         failure = excinfo.value.failure
         assert failure.trial_index == 0
+        assert failure.seeds == (spawn_seeds(1, 3)[0],)
         assert failure.exception_type == "ValueError"
-        assert failure.attempts == 1
         assert "always broken" in failure.message
         assert "ValueError" in failure.traceback
-        # The rendered error carries the original traceback text.
+        # The rendered error names the trial and its seed, and carries
+        # the original traceback text.
+        assert f"trial 0 (seed {failure.seeds[0]})" in str(excinfo.value)
         assert "original traceback" in str(excinfo.value)
 
-    def test_skip_policy_records_failures_and_none_slots(self):
-        engine = MonteCarloEngine(on_error="skip")
-        with engine.session({}) as session:
-            results = session.run(_failing_trial, 5, rng=1)
-            assert results == [None] * 5
-            assert [f.trial_index for f in session.failures] == list(range(5))
-            assert {f.exception_type for f in session.failures} == {"ValueError"}
-            # The session stays usable after recorded failures.
-            assert session.run(_draw_trial, 3, rng=2, static_args=(1.0,)) == \
-                _serial_baseline(count=3, rng=2, scale=1.0)
-
-    def test_skip_policy_parallel_matches_serial_accounting(self):
-        engine = MonteCarloEngine(workers=2, chunk_size=2, on_error="skip")
-        with engine.session({}) as session:
-            results = session.run(_failing_trial, 5, rng=1)
-            assert results == [None] * 5
-            assert [f.trial_index for f in session.failures] == list(range(5))
-
     def test_keyboard_interrupt_is_not_isolated(self):
-        engine = MonteCarloEngine(on_error="skip")
-        with engine.session({}) as session:
+        with MonteCarloEngine().session({}) as session:
             with pytest.raises(KeyboardInterrupt):
                 session.run(_interrupt_trial, 2, rng=1)
 
     def test_invalid_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MonteCarloEngine(on_error="ignore")
-        with pytest.raises(ConfigurationError):
-            MonteCarloEngine(max_retries=-1)
+        # A raise always fails the run: the policy keywords are gone.
+        with pytest.raises(TypeError):
+            MonteCarloEngine(on_error="skip")
+        with pytest.raises(TypeError):
+            MonteCarloEngine(max_retries=2)
 
-
-class TestRetry:
-    def test_retry_recovers_transient_faults_bit_identically(self, monkeypatch):
-        baseline = _serial_baseline()
-        monkeypatch.setenv(FAULT_EVERY_ENV, "1")
-
-        engine_module._FAULTED_SEEDS.clear()
-        engine = MonteCarloEngine(on_error="retry")
-        with engine.session({}) as session:
-            assert session.run(_draw_trial, 10, rng=5,
-                               static_args=(1.5,)) == baseline
-
-        engine_module._FAULTED_SEEDS.clear()
-        engine = MonteCarloEngine(workers=2, chunk_size=3, on_error="retry")
-        with engine.session({}) as session:
-            assert session.run(_draw_trial, 10, rng=5,
-                               static_args=(1.5,)) == baseline
-
-    def test_retry_exhaustion_raises_with_attempt_count(self):
-        engine = MonteCarloEngine(on_error="retry", max_retries=2)
-        with engine.session({}) as session:
-            with pytest.raises(TrialExecutionError) as excinfo:
-                session.run(_failing_trial, 2, rng=1)
-        assert excinfo.value.failure.attempts == 3
-
-    def test_retry_and_failure_counters(self, monkeypatch):
-        monkeypatch.setenv(FAULT_EVERY_ENV, "1")
-        engine_module._FAULTED_SEEDS.clear()
+    def test_failures_counted_by_type(self):
         telemetry = get_telemetry()
         telemetry.reset()
         telemetry.enable()
         try:
-            engine = MonteCarloEngine(on_error="retry")
-            with engine.session({}) as session:
-                session.run(_draw_trial, 5, rng=5, static_args=(1.0,))
+            with MonteCarloEngine().session({}) as session:
+                with pytest.raises(TrialExecutionError):
+                    session.run(_failing_trial, 3, rng=1)
             counters = telemetry.registry.counters
-            assert counters["engine.retries"].value == 5
-            assert "engine.trial_failures" not in counters
-        finally:
-            telemetry.disable()
-            telemetry.reset()
-
-    def test_exhausted_failures_counted_by_type(self):
-        telemetry = get_telemetry()
-        telemetry.reset()
-        telemetry.enable()
-        try:
-            engine = MonteCarloEngine(on_error="skip")
-            with engine.session({}) as session:
-                session.run(_failing_trial, 3, rng=1)
-            counters = telemetry.registry.counters
-            assert counters["engine.trial_failures"].value == 3
-            assert counters["engine.trial_failures{type=ValueError}"].value == 3
+            assert counters["engine.trial_failures"].value == 1
+            assert counters["engine.trial_failures{type=ValueError}"].value == 1
         finally:
             telemetry.disable()
             telemetry.reset()
 
 
-class TestEmptyPoints:
-    def test_fig13_point_with_every_trial_skipped_is_nan(self, monkeypatch):
-        """Every trial faults and is skipped: the row reports NaN."""
-        monkeypatch.setenv(FAULT_EVERY_ENV, "1")
-        result = fig13_rssi.run(
-            distances_m=(1, 8), packets_per_point=2, rng=1, on_error="skip"
-        )
-        assert [row["distance_m"] for row in result.rows] == [1, 8]
-        for row in result.rows:
-            assert math.isfinite(row["budget_rssi_dbm"])
-            assert math.isnan(row["measured_rssi_dbm"])
-            assert math.isnan(row["fading_spread_db"])
+def _failure_of(run):
+    """The :class:`TrialFailure` ``run()`` raises; counts it by type."""
+    telemetry = get_telemetry()
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        with pytest.raises(TrialExecutionError) as excinfo:
+            run()
+        counters = telemetry.registry.counters
+        assert counters["engine.trial_failures{type=ValueError}"].value == 1
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    return excinfo.value.failure
+
+
+class TestNoExceptionBecomesARow:
+    """A trial raising on one seed fails every kind of run."""
+
+    def _run(self, trial, workers=1, chunk_size=4):
+        engine = MonteCarloEngine(workers=workers, chunk_size=chunk_size)
+        with engine.session({}) as session:
+            return session.run(trial, len(_SEEDS), rng=5)
+
+    @pytest.mark.parametrize("trial, first, rows", [
+        (_planted_trial, _FAILING_TRIAL, 1),
+        (_planted_batch_trial, 8, 4),
+    ], ids=["scalar", "batch"])
+    def test_serial_and_parallel_name_the_same_dispatch(
+        self, trial, first, rows
+    ):
+        serial = _failure_of(lambda: self._run(trial))
+        parallel = _failure_of(lambda: self._run(trial, workers=2))
+        assert serial == parallel
+        assert serial.trial_index == first
+        assert serial.seeds == tuple(_SEEDS[first:first + rows])
+
+    def test_batch_error_names_every_seed_of_its_dispatch(self):
+        with pytest.raises(TrialExecutionError) as excinfo:
+            self._run(_planted_batch_trial)
+        message = str(excinfo.value)
+        assert "trials 8–11 (batch of 4, seeds " in message
+        assert all(str(seed) in message for seed in _SEEDS[8:12])
+
+    @pytest.mark.parametrize("trial, first", [
+        (_planted_trial, _FAILING_TRIAL), (_planted_batch_trial, 8),
+    ], ids=["scalar", "batch"])
+    def test_incremental_run_fails_in_its_increment(self, trial, first):
+        with MonteCarloEngine().session({}) as session:
+            stream = session.run_until(trial, rng=5)
+            assert len(stream.extend(8)) == 8
+            failure = _failure_of(lambda: stream.extend(8))
+        assert failure.trial_index == first
+        assert stream.trials == 8
+
+    @pytest.mark.parametrize("trial", [_planted_trial, _planted_batch_trial],
+                             ids=["scalar", "batch"])
+    def test_crash_recovery_raises_the_serial_failure(self, trial, monkeypatch):
+        serial = _failure_of(lambda: self._run(trial))
+
+        class Pool(_FakePool):
+            crash_pools = 1
+            instances = []
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", Pool)
+        engine = MonteCarloEngine(workers=2, chunk_size=4)
+        with engine.session({}) as session:
+            recovered = _failure_of(
+                lambda: session.run(trial, len(_SEEDS), rng=5)
+            )
+        assert recovered == serial
+        assert engine.used_fallback
 
 
 class TestPoolCrashRecovery:
@@ -210,23 +227,33 @@ class TestPoolCrashRecovery:
             instances = []
 
         monkeypatch.setattr(engine_module, "ProcessPoolExecutor", Pool)
-        engine = MonteCarloEngine(workers=2, chunk_size=3)
-        with engine.session({}) as session:
-            results = session.run(_draw_trial, 10, rng=5, static_args=(1.5,))
-            assert session.pool_rebuilds == 1
+        telemetry = get_telemetry()
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            engine = MonteCarloEngine(workers=2, chunk_size=3)
+            with engine.session({}) as session:
+                results = session.run(_draw_trial, 10, rng=5, static_args=(1.5,))
+            counters = telemetry.registry.counters
+            # 10 trials in chunks of 3 -> 4 chunks; the pool completed
+            # one before dying, so the parent re-ran exactly the 7 lost.
+            assert counters["engine.trials_reexecuted"].value == 7
+            assert counters[
+                "engine.pool_fallbacks{reason=BrokenProcessPool}"
+            ].value == 1
+        finally:
+            telemetry.disable()
+            telemetry.reset()
         assert results == baseline
-        assert not engine.used_fallback
-        # 10 trials in chunks of 3 -> 4 chunks; the first pool completed
-        # one before dying, so the rebuilt pool sees exactly the 3 lost.
-        assert len(Pool.instances) == 2
+        assert engine.used_fallback
+        assert len(Pool.instances) == 1
         assert len(Pool.instances[0].futures) == 4
-        assert len(Pool.instances[1].futures) == 3
 
-    def test_second_crash_degrades_to_sequential(self, monkeypatch):
+    def test_crash_degrades_to_sequential(self, monkeypatch):
         baseline = _serial_baseline()
 
         class Pool(_FakePool):
-            crash_pools = 2
+            crash_pools = 1
             instances = []
 
         monkeypatch.setattr(engine_module, "ProcessPoolExecutor", Pool)
@@ -237,21 +264,10 @@ class TestPoolCrashRecovery:
         assert results == baseline
         assert again == baseline
         assert engine.used_fallback
-        # No third pool: after the rebuilt pool died too, the session
-        # stopped trusting pools for its remaining runs.
-        assert len(Pool.instances) == 2
-
-    def test_crash_recovery_with_skip_keeps_failure_accounting(self, monkeypatch):
-        class Pool(_FakePool):
-            crash_pools = 1
-            instances = []
-
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", Pool)
-        engine = MonteCarloEngine(workers=2, chunk_size=2, on_error="skip")
-        with engine.session({}) as session:
-            results = session.run(_failing_trial, 6, rng=1)
-            assert results == [None] * 6
-            assert [f.trial_index for f in session.failures] == list(range(6))
+        # No second pool: after the worker died, the session stopped
+        # trusting pools for its remaining runs.
+        assert len(Pool.instances) == 1
+        assert len(Pool.instances[0].futures) == 4
 
     def test_close_cancels_queued_futures(self, monkeypatch):
         class Pool(_FakePool):
@@ -265,34 +281,6 @@ class TestPoolCrashRecovery:
         assert Pool.instances[0].shutdown_kwargs == {
             "wait": True, "cancel_futures": True,
         }
-
-
-class TestSequentialFallbackPolicies:
-    def _break_pool_creation(self, monkeypatch):
-        def broken_pool(*args, **kwargs):
-            raise OSError("no process spawning in this sandbox")
-
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", broken_pool)
-
-    def test_fallback_honors_skip(self, monkeypatch):
-        self._break_pool_creation(monkeypatch)
-        engine = MonteCarloEngine(workers=4, on_error="skip")
-        with engine.session({}) as session:
-            results = session.run(_failing_trial, 4, rng=1)
-            assert results == [None] * 4
-            assert len(session.failures) == 4
-        assert engine.used_fallback
-
-    def test_fallback_retry_matches_serial(self, monkeypatch):
-        baseline = _serial_baseline()
-        self._break_pool_creation(monkeypatch)
-        monkeypatch.setenv(FAULT_EVERY_ENV, "1")
-        engine_module._FAULTED_SEEDS.clear()
-        engine = MonteCarloEngine(workers=4, on_error="retry")
-        with engine.session({}) as session:
-            assert session.run(_draw_trial, 10, rng=5,
-                               static_args=(1.5,)) == baseline
-        assert engine.used_fallback
 
 
 class TestWorkerSizing:

@@ -4,7 +4,7 @@ Covers the sink contract (memory, crash-safe file append, stderr
 ticker), the disabled-path no-op, heartbeat/ETA arithmetic, and the
 engine-level determinism guarantee: for a fixed seed and a pinned chunk
 size the *types and order* of emitted events are identical serial vs
-parallel, including under the recovered fault drill — and an
+parallel, including for a run that fails on a raising trial — and an
 ``events.jsonl`` written by a killed sweep survives into the resumed
 run.
 """
@@ -17,7 +17,7 @@ import pytest
 from repro.errors import ConfigurationError, TrialExecutionError
 from repro.experiments import engine as engine_module
 from repro.experiments import table2_attack_awgn
-from repro.experiments.engine import FAULT_EVERY_ENV, MonteCarloEngine
+from repro.experiments.engine import MonteCarloEngine
 from repro.telemetry.events import (
     EVENT_TYPES,
     EventStream,
@@ -30,6 +30,7 @@ from repro.telemetry.events import (
     read_events_jsonl,
     summarize_events,
 )
+from repro.utils.rng import spawn_seeds
 
 
 def _draw_trial(context, args, rng):
@@ -37,14 +38,22 @@ def _draw_trial(context, args, rng):
     return float(rng.normal())
 
 
+#: The stream seed of trial 3 in a run at ``rng=5``.
+_FAILING_SEED = spawn_seeds(5, 6)[3]
+
+
+def _failing_draw_trial(context, args, rng):
+    """:func:`_draw_trial`, raising on :data:`_FAILING_SEED`."""
+    if int(rng.bit_generator.seed_seq.entropy) == _FAILING_SEED:
+        raise ValueError("planted failure")
+    return float(rng.normal())
+
+
 @pytest.fixture(autouse=True)
-def _clean_state(monkeypatch):
-    """Isolate each test from process-wide stream and drill state."""
-    monkeypatch.delenv(FAULT_EVERY_ENV, raising=False)
-    engine_module._FAULTED_SEEDS.clear()
+def _clean_state():
+    """Isolate each test from the process-wide stream."""
     get_event_stream().reset()
     yield
-    engine_module._FAULTED_SEEDS.clear()
     get_event_stream().reset()
 
 
@@ -91,7 +100,8 @@ class TestEventStream:
         sink = stream.add_sink(MemoryEventSink())
         stream.enable()
         with pytest.raises(ConfigurationError, match="trial_index"):
-            stream.emit("trial_retry", attempts=2, recovered=True)
+            stream.emit("trial_failure", seed=1, exception_type="ValueError",
+                        message="broken")
         assert sink.records == []
 
     def test_undeclared_field_on_closed_schema_rejected(self):
@@ -100,8 +110,8 @@ class TestEventStream:
         stream.enable()
         with pytest.raises(ConfigurationError, match="mood"):
             stream.emit(
-                "trial_retry", trial_index=3, attempts=2, recovered=True,
-                mood="grim",
+                "trial_failure", trial_index=3, seed=1,
+                exception_type="ValueError", message="broken", mood="grim",
             )
         assert sink.records == []
 
@@ -190,7 +200,6 @@ class TestSummariesAndRendering:
     def test_summarize_counts_and_status(self):
         events = [
             {"event": "run_started"},
-            {"event": "trial_retry"},
             {"event": "trial_failure"},
             {"event": "heartbeat", "trials_done": 12},
             {"event": "point_finished"},
@@ -198,8 +207,7 @@ class TestSummariesAndRendering:
              "elapsed_seconds": 1.5},
         ]
         summary = summarize_events(events)
-        assert summary["events"] == 6
-        assert summary["retries"] == 1
+        assert summary["events"] == 5
         assert summary["failures"] == 1
         assert summary["points_finished"] == 1
         assert summary["trials_done"] == 12
@@ -218,17 +226,17 @@ class TestSummariesAndRendering:
                                  "eta_seconds": 2.0, "ts": 0.0})
         assert "4/8 trials" in line
         assert "eta 2s" in line
-        line = format_event({"event": "pool_rebuild", "trials_lost": 6,
-                             "seq": 9, "ts": 0.0})
-        assert "pool_rebuild" in line
-        assert "trials_lost=6" in line
+        line = format_event({"event": "pool_fallback",
+                             "reason": "BrokenProcessPool", "seq": 9,
+                             "ts": 0.0})
+        assert "pool_fallback" in line
+        assert "reason=BrokenProcessPool" in line
         assert "seq=" not in line
 
 
 class TestEngineEventDeterminism:
-    def _run_events(self, monkeypatch, workers):
-        """Event-type sequence for one engine run (serial or pooled)."""
-        engine_module._FAULTED_SEEDS.clear()
+    def _run_events(self, monkeypatch, workers, trial=_draw_trial):
+        """Rows (or the failure) and event types of one engine run."""
         stream = get_event_stream()
         stream.reset()
         sink = stream.add_sink(MemoryEventSink())
@@ -237,27 +245,31 @@ class TestEngineEventDeterminism:
             monkeypatch.setattr(
                 engine_module, "ProcessPoolExecutor", _EagerPool
             )
-        engine = MonteCarloEngine(
-            workers=workers, chunk_size=2, on_error="retry"
-        )
-        with engine.session({}) as session:
-            result = session.run(_draw_trial, 6, rng=5)
+        engine = MonteCarloEngine(workers=workers, chunk_size=2)
+        try:
+            with engine.session({}) as session:
+                result = session.run(trial, 6, rng=5)
+        except TrialExecutionError as error:
+            result = error.failure
         stream.reset()
         return result, [record["event"] for record in sink.records]
 
     def test_serial_and_parallel_emit_identical_event_types(
         self, monkeypatch
     ):
-        # Fault every seed once: each trial recovers on its retry, so
-        # the stream carries trial_retry events in both execution modes.
-        monkeypatch.setenv(FAULT_EVERY_ENV, "1")
-        serial_rows, serial_events = self._run_events(monkeypatch, workers=1)
-        pooled_rows, pooled_events = self._run_events(monkeypatch, workers=2)
-        assert serial_rows == pooled_rows
-        assert serial_events == pooled_events
-        assert "trial_retry" in serial_events
-        # One heartbeat per chunk: 6 trials / chunk_size 2.
-        assert serial_events.count("heartbeat") == 3
+        # Trial 3 raises: the second chunk records the one trial it
+        # completed and then the failure, and the run stops there.
+        serial_failure, serial_events = self._run_events(
+            monkeypatch, workers=1, trial=_failing_draw_trial
+        )
+        pooled_failure, pooled_events = self._run_events(
+            monkeypatch, workers=2, trial=_failing_draw_trial
+        )
+        assert serial_failure == pooled_failure
+        assert serial_failure.trial_index == 3
+        assert serial_events == pooled_events == [
+            "heartbeat", "heartbeat", "trial_failure",
+        ]
 
     def test_clean_run_emits_only_heartbeats(self, monkeypatch):
         _, serial_events = self._run_events(monkeypatch, workers=1)
@@ -269,18 +281,16 @@ class TestKilledRunEventStream:
     PARAMS = {"snrs_db": (15, 17), "trials": 3, "include_authentic": False}
 
     def test_events_survive_a_killed_then_resumed_sweep(
-        self, tmp_path, monkeypatch
+        self, tmp_path, seed_fault
     ):
-        # Same drill as the checkpoint suite: at seed 3 the fault drill
-        # aborts inside the second SNR point, "killing" the run after
-        # the first point checkpointed.
+        # Same kill as the checkpoint suite: at seed 3 a trial raising on
+        # seeds divisible by 5 aborts inside the second SNR point,
+        # "killing" the run after the first point checkpointed.
         events_path = tmp_path / "events.jsonl"
         stream = get_event_stream()
         stream.add_sink(FileEventSink(events_path))
         stream.enable(run_id="killed-run")
-        monkeypatch.setenv(FAULT_EVERY_ENV, "5")
-        engine_module._FAULTED_SEEDS.clear()
-        with pytest.raises(TrialExecutionError):
+        with seed_fault(5), pytest.raises(TrialExecutionError):
             table2_attack_awgn.run(
                 rng=3, checkpoint_dir=str(tmp_path / "ckpt"), **self.PARAMS
             )
@@ -292,8 +302,6 @@ class TestKilledRunEventStream:
 
         # Resume against the same stream: the file sink appends, so the
         # crashed run's record survives ahead of the resumed one.
-        monkeypatch.delenv(FAULT_EVERY_ENV)
-        engine_module._FAULTED_SEEDS.clear()
         result = table2_attack_awgn.run(
             rng=3, checkpoint_dir=str(tmp_path / "ckpt"), resume=True,
             **self.PARAMS

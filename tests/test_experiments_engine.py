@@ -6,11 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import engine as engine_module
 from repro.experiments import table2_attack_awgn
-from repro.experiments.engine import (
-    FAULT_EVERY_ENV,
-    MonteCarloEngine,
-    batch_trial,
-)
+from repro.experiments.engine import MonteCarloEngine, batch_trial
 from repro.telemetry import SpanNode, Telemetry, get_telemetry
 from repro.telemetry.metrics import Histogram, MetricRegistry
 from repro.utils.rng import spawn_rngs, spawn_seeds
@@ -119,33 +115,6 @@ class TestSerialIncrements:
             stream = session.run_until(_recorded_batch_draw, rng=4)
             stream.extend(8)
         assert _BATCH_CALLS == [8]
-
-    @pytest.mark.parametrize("on_error", ["retry", "skip"])
-    def test_fault_drill_matches_two_row_chunks(self, monkeypatch, on_error):
-        monkeypatch.setenv(FAULT_EVERY_ENV, "3")
-
-        def drill(chunk_size):
-            engine_module._FAULTED_SEEDS.clear()
-            engine = MonteCarloEngine(chunk_size=chunk_size, on_error=on_error)
-            with engine.session({}) as session:
-                stream = session.run_until(_recorded_batch_draw, rng=4)
-                for _ in range(3):
-                    stream.extend(8)
-            return stream.results, session.failures
-
-        try:
-            whole, whole_failures = drill(None)
-            pairs, pair_failures = drill(2)
-        finally:
-            engine_module._FAULTED_SEEDS.clear()
-        assert whole == pairs
-        assert whole_failures == pair_failures
-        if on_error == "skip":
-            assert whole_failures
-            assert whole.count(None) == len(whole_failures)
-        else:
-            assert not whole_failures
-            assert None not in whole
 
 
 class TestTelemetryMerge:

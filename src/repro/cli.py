@@ -276,7 +276,7 @@ def _save_result(result, directory: str) -> None:
 
     import numpy as np
 
-    from repro.telemetry import write_manifest
+    from repro.telemetry.manifest import write_manifest
 
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, f"{result.experiment_id}.csv")
@@ -415,9 +415,9 @@ def _start_run_directory(args: argparse.Namespace, targets: List[str]):
         FileEventSink,
         RunRegistry,
         StderrProgressSink,
-        build_manifest,
         get_event_stream,
     )
+    from repro.telemetry.manifest import build_manifest
 
     registry = RunRegistry(args.runs_dir or DEFAULT_RUNS_ROOT)
     run = registry.create(targets[0] if len(targets) == 1 else "multi")
@@ -446,7 +446,9 @@ def _finish_telemetry(
     status: str = "ok",
 ) -> None:
     """Snapshot, annotate, and persist (or print) the run's telemetry."""
-    from repro.telemetry import build_manifest, get_event_stream, render_telemetry
+    from repro.telemetry import get_event_stream
+    from repro.telemetry.manifest import build_manifest
+    from repro.telemetry.report import render_telemetry
 
     stream = get_event_stream()
     if run is not None:
@@ -506,15 +508,10 @@ def _runs_command(args: argparse.Namespace) -> int:
     """Dispatch the ``runs list|show|tail|diff`` subcommands."""
     import time
 
-    from repro.telemetry import (
-        DEFAULT_RUNS_ROOT,
-        RunRegistry,
-        diff_runs,
-        format_run_diff,
-        parse_percentage,
-        render_run_directory,
-    )
+    from repro.telemetry import DEFAULT_RUNS_ROOT, RunRegistry
+    from repro.telemetry.diff import diff_runs, format_run_diff, parse_percentage
     from repro.telemetry.events import format_event, read_events_jsonl
+    from repro.telemetry.report import render_run_directory
 
     registry = RunRegistry(args.runs_dir or DEFAULT_RUNS_ROOT)
     if args.runs_command == "list":
@@ -578,8 +575,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         import os
 
-        from repro.telemetry import (
-            RunDirectory,
+        from repro.telemetry import RunDirectory
+        from repro.telemetry.report import (
             load_telemetry,
             render_run_directory,
             render_telemetry,

@@ -1,18 +1,13 @@
-"""The constellation higher-order-statistics defense (the paper's Sec. VI)."""
+"""The constellation higher-order-statistics defense (the paper's Sec. VI).
 
-from repro.defense.amc import (
-    ClassificationResult,
-    CumulantClassifier,
-    synthesize_symbols,
-)
-from repro.defense.baselines import (
-    ChipSequenceBaseline,
-    ChipSequenceScore,
-    CyclicPrefixDetector,
-    CyclicPrefixScore,
-    PhaseTrajectoryBaseline,
-    PhaseTrajectoryScore,
-)
+The package re-exports the detector and its cumulant estimators.  The
+AMC classifier (:mod:`repro.defense.amc`), the rejected baselines
+(:mod:`repro.defense.baselines`), the sixth-order features
+(:mod:`repro.defense.features`), k-means (:mod:`repro.defense.kmeans`)
+and the logistic-regression baseline (:mod:`repro.defense.mlbaseline`)
+are imported from their own modules.
+"""
+
 from repro.defense.constellation import (
     ConstellationOptions,
     ideal_qpsk_points,
@@ -26,21 +21,6 @@ from repro.defense.detector import (
     Hypothesis,
     calibrate_threshold,
 )
-from repro.defense.features import (
-    ExtendedFeature,
-    QPSK_C63,
-    SixthOrderEstimate,
-    estimate_sixth_order,
-    extended_feature,
-    theoretical_sixth_order,
-)
-from repro.defense.kmeans import KMeansResult, cluster_phase_offset, kmeans
-from repro.defense.mlbaseline import (
-    FEATURE_NAMES,
-    LogisticDetector,
-    build_dataset,
-    feature_vector,
-)
 from repro.defense.moments import (
     CumulantEstimate,
     QPSK_FEATURE_VECTOR,
@@ -51,41 +31,19 @@ from repro.defense.moments import (
 )
 
 __all__ = [
-    "ChipSequenceBaseline",
-    "ChipSequenceScore",
-    "ClassificationResult",
     "ConstellationOptions",
-    "CumulantClassifier",
     "CumulantDetector",
     "CumulantEstimate",
-    "CyclicPrefixDetector",
-    "CyclicPrefixScore",
     "DEFAULT_THRESHOLD",
     "DetectionResult",
-    "ExtendedFeature",
-    "FEATURE_NAMES",
     "Hypothesis",
-    "KMeansResult",
-    "LogisticDetector",
     "PAPER_THRESHOLD",
-    "PhaseTrajectoryBaseline",
-    "PhaseTrajectoryScore",
-    "QPSK_C63",
     "QPSK_FEATURE_VECTOR",
-    "SixthOrderEstimate",
-    "build_dataset",
     "calibrate_threshold",
-    "cluster_phase_offset",
     "estimate_cumulants",
-    "estimate_sixth_order",
-    "extended_feature",
-    "feature_vector",
     "ideal_qpsk_points",
-    "kmeans",
     "reconstruct_constellation",
     "reference_constellations",
-    "synthesize_symbols",
     "theoretical_cumulants",
-    "theoretical_sixth_order",
     "theoretical_table",
 ]

@@ -57,7 +57,7 @@ class ExperimentResult:
         span_tree: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
         """Build and attach a run manifest; returns it for convenience."""
-        from repro.telemetry import build_manifest
+        from repro.telemetry.manifest import build_manifest
 
         merged = {"experiment_id": self.experiment_id}
         merged.update(config or {})

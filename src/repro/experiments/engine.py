@@ -74,11 +74,11 @@ import math
 import os
 import traceback as traceback_module
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -86,6 +86,12 @@ from repro.errors import ConfigurationError, TrialExecutionError
 from repro.telemetry import get_telemetry
 from repro.telemetry.events import get_event_stream
 from repro.utils.rng import RngLike, ensure_rng, spawn_seeds
+
+if TYPE_CHECKING:
+    # A serial run never imports the process pool (nor multiprocessing):
+    # ProcessPoolExecutor and BrokenProcessPool are imported only where
+    # a pool is made or used.
+    from concurrent.futures import ProcessPoolExecutor
 
 #: A single Monte Carlo trial: ``trial(context, static_args, rng)``.
 #: Batched trials (see :func:`batch_trial`) instead receive a list of
@@ -114,12 +120,6 @@ SERIAL_MIN_CHUNK = 32
 #: back from a worker.  ``KeyboardInterrupt`` / ``SystemExit`` are not
 #: ``Exception`` subclasses and still propagate immediately.
 ISOLATED_TRIAL_EXCEPTIONS = (Exception,)
-
-#: Exception types that mean "the worker pool died under us" while
-#: collecting results; anything else raised by a future is a real bug
-#: and propagates.
-POOL_CRASH_EXCEPTIONS = (BrokenProcessPool, FuturesTimeoutError)
-
 
 def batch_trial(trial: Callable) -> Callable:
     """Mark a trial function as batched (``trial.batch = True``).
@@ -396,7 +396,7 @@ class EngineSession:
             stream.heartbeat(len(values))
         if failure is not None:
             stream.trial_failure(
-                failure.trial_index, failure.seeds[0],
+                failure.trial_index, failure.seeds,
                 failure.exception_type, failure.message,
             )
             raise TrialExecutionError(failure)
@@ -431,14 +431,18 @@ class EngineSession:
 
         A chunk lost to a dead worker (``BrokenProcessPool`` / timeout)
         re-runs in the parent, in its place in that order; chunks that
-        completed before the crash are kept.
+        completed before the crash are kept.  Any other exception raised
+        by a future is a real bug and propagates.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool_crashes = (BrokenProcessPool, FuturesTimeoutError)
         telemetry = get_telemetry()
         submitted = []
         for chunk in chunks:
             try:
                 future = pool.submit(_run_chunk, trial, static_args, chunk)
-            except POOL_CRASH_EXCEPTIONS as error:
+            except pool_crashes as error:
                 # A pool that died mid-loop rejects new work; the rest
                 # of the batch runs in the parent.
                 self._fall_back(error)
@@ -452,7 +456,7 @@ class EngineSession:
             if future is not None:
                 try:
                     outcome = future.result()
-                except POOL_CRASH_EXCEPTIONS as error:
+                except pool_crashes as error:
                     self._fall_back(error)
             if outcome is None:
                 telemetry.count("engine.trials_reexecuted", len(chunk))
@@ -492,6 +496,8 @@ class EngineSession:
                 )
                 telemetry.count("engine.worker_oversubscription")
             try:
+                from concurrent.futures import ProcessPoolExecutor
+
                 self._pool = ProcessPoolExecutor(
                     max_workers=engine.workers,
                     initializer=_worker_init,

@@ -1,5 +1,10 @@
 """Registry mapping paper artifact ids to experiment runners.
 
+The table below is static data: ids, descriptions, trial-count keywords
+and the dotted name of each experiment's module.  A module is imported
+only when its entry's ``run`` or ``spec`` is read, so listing the
+artifacts imports none of them and running one imports only its own.
+
 Sweep-backed experiments carry their
 :class:`repro.experiments.sweep.SweepSpec`, which is all the CLI needs:
 an entry with a ``spec`` takes the engine flags (``--workers``,
@@ -10,28 +15,14 @@ with a ``trials_param`` takes ``--trials``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from types import ModuleType
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    fig5_waveform_comparison,
-    fig6_constellation,
-    fig7_hamming,
-    fig8_cp_repetition,
-    fig9_possible_strategies,
-    fig10_c42,
-    fig11_c40,
-    fig12_defense,
-    fig13_rssi,
-    fig14_error_rates,
-    table1_frequency_points,
-    table2_attack_awgn,
-    table3_theoretical_cumulants,
-    table4_de2_snr,
-    table5_de2_distance,
-)
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import SweepSpec
+
+if TYPE_CHECKING:
+    from repro.experiments.common import ExperimentResult
+    from repro.experiments.sweep import SweepSpec
 
 
 @dataclass(frozen=True)
@@ -40,62 +31,68 @@ class ExperimentEntry:
 
     Attributes:
         experiment_id: registry key (``table2``, ``fig12``, ...).
+        module: dotted name of the module that defines ``run`` (and,
+            for a sweep, ``SPEC``).
         description: one-line summary shown by ``repro-experiments list``.
-        run: the runner callable returning an :class:`ExperimentResult`.
-        spec: the declarative sweep spec for sweep-backed experiments,
-            ``None`` for direct runners.
         trials_param: the runner's trial-count keyword (``trials``,
             ``waveforms_per_point``, ...), or ``None`` when the runner
             has no trial-count notion.
     """
 
     experiment_id: str
+    module: str
     description: str
-    run: Callable[..., ExperimentResult]
-    spec: Optional[SweepSpec] = None
     trials_param: Optional[str] = None
 
+    def _module(self) -> ModuleType:
+        # The import statement's machinery, not importlib.import_module,
+        # so that ``python -X importtime`` logs the import.
+        return __import__(self.module, fromlist=["run"])
 
-def _sweep(
-    spec: SweepSpec, description: str, trials_param: Optional[str] = None
-) -> ExperimentEntry:
-    """The entry for a sweep experiment, built from its spec."""
-    return ExperimentEntry(spec.experiment_id, description, spec.run,
-                           spec=spec, trials_param=trials_param)
+    @property
+    def run(self) -> Callable[..., ExperimentResult]:
+        """The runner callable returning an :class:`ExperimentResult`."""
+        return self._module().run
+
+    @property
+    def spec(self) -> Optional[SweepSpec]:
+        """The declarative sweep spec, or ``None`` for a direct runner."""
+        return getattr(self._module(), "SPEC", None)
 
 
 _ENTRIES = [
-    ExperimentEntry("table1", "FFT magnitudes and subcarrier selection",
-                    table1_frequency_points.run,
-                    trials_param="num_waveforms"),
-    _sweep(table2_attack_awgn.SPEC, "attack success rate vs SNR (AWGN)",
-           trials_param="trials"),
-    ExperimentEntry("table3", "theoretical cumulants per constellation",
-                    table3_theoretical_cumulants.run,
-                    trials_param="sample_count"),
-    _sweep(table4_de2_snr.SPEC, "averaged D_E^2 vs SNR",
-           trials_param="waveforms_per_point"),
-    _sweep(table5_de2_distance.SPEC, "averaged D_E^2 vs distance (real env)",
-           trials_param="waveforms_per_point"),
-    ExperimentEntry("fig5", "original vs emulated waveform I/Q",
-                    fig5_waveform_comparison.run),
-    ExperimentEntry("fig6", "constellation diagrams, AWGN vs real",
-                    fig6_constellation.run),
-    ExperimentEntry("fig7", "Hamming distance distributions",
-                    fig7_hamming.run, trials_param="num_packets"),
-    ExperimentEntry("fig8", "cyclic-prefix baseline failure",
-                    fig8_cp_repetition.run),
-    ExperimentEntry("fig9", "phase/chip baseline failures",
-                    fig9_possible_strategies.run),
-    ExperimentEntry("fig10", "C42 vs SNR", fig10_c42.run,
-                    trials_param="waveforms_per_point"),
-    ExperimentEntry("fig11", "C40 vs SNR", fig11_c40.run,
-                    trials_param="waveforms_per_point"),
-    _sweep(fig12_defense.SPEC, "calibrated threshold defense test"),
-    _sweep(fig13_rssi.SPEC, "RSSI vs distance (table in Fig. 13)",
-           trials_param="packets_per_point"),
-    _sweep(fig14_error_rates.SPEC, "error rates vs distance per receiver",
-           trials_param="trials"),
+    ExperimentEntry("table1", "repro.experiments.table1_frequency_points",
+                    "FFT magnitudes and subcarrier selection",
+                    "num_waveforms"),
+    ExperimentEntry("table2", "repro.experiments.table2_attack_awgn",
+                    "attack success rate vs SNR (AWGN)", "trials"),
+    ExperimentEntry("table3", "repro.experiments.table3_theoretical_cumulants",
+                    "theoretical cumulants per constellation", "sample_count"),
+    ExperimentEntry("table4", "repro.experiments.table4_de2_snr",
+                    "averaged D_E^2 vs SNR", "waveforms_per_point"),
+    ExperimentEntry("table5", "repro.experiments.table5_de2_distance",
+                    "averaged D_E^2 vs distance (real env)",
+                    "waveforms_per_point"),
+    ExperimentEntry("fig5", "repro.experiments.fig5_waveform_comparison",
+                    "original vs emulated waveform I/Q"),
+    ExperimentEntry("fig6", "repro.experiments.fig6_constellation",
+                    "constellation diagrams, AWGN vs real"),
+    ExperimentEntry("fig7", "repro.experiments.fig7_hamming",
+                    "Hamming distance distributions", "num_packets"),
+    ExperimentEntry("fig8", "repro.experiments.fig8_cp_repetition",
+                    "cyclic-prefix baseline failure"),
+    ExperimentEntry("fig9", "repro.experiments.fig9_possible_strategies",
+                    "phase/chip baseline failures"),
+    ExperimentEntry("fig10", "repro.experiments.fig10_c42", "C42 vs SNR",
+                    "waveforms_per_point"),
+    ExperimentEntry("fig11", "repro.experiments.fig11_c40", "C40 vs SNR",
+                    "waveforms_per_point"),
+    ExperimentEntry("fig12", "repro.experiments.fig12_defense",
+                    "calibrated threshold defense test"),
+    ExperimentEntry("fig13", "repro.experiments.fig13_rssi",
+                    "RSSI vs distance (table in Fig. 13)", "packets_per_point"),
+    ExperimentEntry("fig14", "repro.experiments.fig14_error_rates",
+                    "error rates vs distance per receiver", "trials"),
 ]
 
 REGISTRY: Dict[str, ExperimentEntry] = {e.experiment_id: e for e in _ENTRIES}

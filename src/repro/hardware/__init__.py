@@ -1,4 +1,7 @@
-"""Hardware platform models: USRP N210, TI CC26x2R1, RSSI estimation."""
+"""Hardware platform models: USRP N210, TI CC26x2R1, RSSI estimation.
+
+RSSI estimation is imported from :mod:`repro.hardware.rssi`.
+"""
 
 from repro.hardware.cc26x2 import (
     CC26X2_CONFIG,
@@ -12,7 +15,6 @@ from repro.hardware.frontend import (
     apply_iq_imbalance,
     quantize_iq,
 )
-from repro.hardware.rssi import RSSI_AVERAGING_SYMBOLS, RssiEstimator
 from repro.hardware.usrp import (
     USRP_IMPLEMENTATION_LOSS_DB,
     USRP_N210_CONFIG,
@@ -27,8 +29,6 @@ __all__ = [
     "Cc26x2Receiver",
     "FrontEnd",
     "FrontEndConfig",
-    "RSSI_AVERAGING_SYMBOLS",
-    "RssiEstimator",
     "USRP_IMPLEMENTATION_LOSS_DB",
     "USRP_N210_CONFIG",
     "UsrpN210",

@@ -9,7 +9,7 @@ Three pillars:
   ``detector.decisions{verdict=emulated}`` or ``zigbee.chip_errors``,
   with JSON/CSV export;
 * **run manifests** — seed, config, package version, and host identity
-  persisted next to every saved result.
+  persisted next to every saved result (:mod:`repro.telemetry.manifest`).
 
 Disabled by default with a no-op fast path, so the instrumentation in
 ``repro.attack`` / ``repro.defense`` / ``repro.zigbee`` / ``repro.link``
@@ -30,7 +30,10 @@ structured JSONL event stream (:mod:`repro.telemetry.events`), a
 persistent run registry (:mod:`repro.telemetry.registry`, one
 ``.repro-runs/<run_id>/`` directory per ``--telemetry`` run), and
 cross-run regression diffing (:mod:`repro.telemetry.diff`, the engine
-behind ``repro-experiments runs diff --gate``).
+behind ``repro-experiments runs diff --gate``).  Manifests, diffing and
+the report renderers (:mod:`repro.telemetry.report`) are run-directory
+tooling that no sweep runs, so they are imported from their own modules
+rather than re-exported here.
 """
 
 from repro.telemetry.core import (
@@ -40,12 +43,6 @@ from repro.telemetry.core import (
     get_telemetry,
     stopwatch,
     traced,
-)
-from repro.telemetry.diff import (
-    RunDiff,
-    diff_runs,
-    format_run_diff,
-    parse_percentage,
 )
 from repro.telemetry.events import (
     EVENT_TYPES,
@@ -57,14 +54,6 @@ from repro.telemetry.events import (
     get_event_stream,
     read_events_jsonl,
     summarize_events,
-)
-from repro.telemetry.manifest import (
-    MANIFEST_VERSION,
-    build_manifest,
-    git_revision,
-    host_info,
-    read_manifest,
-    write_manifest,
 )
 from repro.telemetry.registry import (
     DEFAULT_RUNS_ROOT,
@@ -78,15 +67,6 @@ from repro.telemetry.metrics import (
     MetricRegistry,
     metric_key,
 )
-from repro.telemetry.report import (
-    format_event_summary,
-    format_metrics,
-    format_span_tree,
-    is_telemetry_payload,
-    load_telemetry,
-    render_run_directory,
-    render_telemetry,
-)
 
 __all__ = [
     "Counter",
@@ -97,36 +77,19 @@ __all__ = [
     "FileEventSink",
     "Gauge",
     "Histogram",
-    "MANIFEST_VERSION",
     "MemoryEventSink",
     "MetricRegistry",
-    "RunDiff",
     "RunDirectory",
     "RunRegistry",
     "SpanNode",
     "StderrProgressSink",
     "Stopwatch",
     "Telemetry",
-    "build_manifest",
-    "diff_runs",
-    "format_event_summary",
-    "format_metrics",
-    "format_run_diff",
-    "format_span_tree",
     "get_event_stream",
     "get_telemetry",
-    "git_revision",
-    "host_info",
-    "is_telemetry_payload",
-    "load_telemetry",
     "metric_key",
-    "parse_percentage",
     "read_events_jsonl",
-    "read_manifest",
-    "render_run_directory",
-    "render_telemetry",
     "stopwatch",
     "summarize_events",
     "traced",
-    "write_manifest",
 ]

@@ -32,14 +32,14 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
 from repro.errors import ConfigurationError
 
 PathLike = Union[str, Path]
 
 #: Bumped when the event record layout changes incompatibly.
-EVENT_SCHEMA_VERSION = 1
+EVENT_SCHEMA_VERSION = 2
 
 #: The one declared schema for every event the stream may emit — the
 #: contract shared by emitters and the JSONL consumers (``runs tail``,
@@ -81,7 +81,7 @@ EVENT_SCHEMAS = {
         "open": False,
     },
     "trial_failure": {
-        "required": ("trial_index", "seed", "exception_type", "message"),
+        "required": ("trial_index", "seeds", "rows", "exception_type", "message"),
         "optional": (),
         "open": False,
     },
@@ -361,11 +361,18 @@ class EventStream:
                   trials_used=trials_used, **fields)
 
     def trial_failure(
-        self, trial_index: int, seed: int, exception_type: str, message: str
+        self, trial_index: int, seeds: Sequence[int], exception_type: str,
+        message: str,
     ) -> None:
-        """A trial raised (the first of its dispatch); the run fails."""
-        self.emit("trial_failure", trial_index=trial_index, seed=seed,
-                  exception_type=exception_type, message=message)
+        """A dispatch raised; the run fails.
+
+        ``trial_index`` is the dispatch's first trial and ``seeds`` every
+        trial's stream seed in it, in trial order (one for a scalar
+        trial, the whole batch for a batched one).
+        """
+        self.emit("trial_failure", trial_index=trial_index, seeds=list(seeds),
+                  rows=len(seeds), exception_type=exception_type,
+                  message=message)
 
     def pool_fallback(self, reason: str) -> None:
         """The worker pool could not be created or died; going serial."""

@@ -1,4 +1,7 @@
-"""Shared low-level utilities: bit manipulation, CRC, DSP helpers, RNG."""
+"""Shared low-level utilities: bit manipulation, CRC, DSP helpers, RNG.
+
+Terminal plotting is imported from :mod:`repro.utils.terminal_plot`.
+"""
 
 from repro.utils.bitops import (
     bits_to_bytes,
@@ -22,13 +25,11 @@ from repro.utils.signal_ops import (
     polyphase_resample,
     frequency_shift,
 )
-from repro.utils.terminal_plot import bar_chart, line_plot, scatter_plot
 
 __all__ = [
     "Waveform",
     "append_fcs",
     "average_power",
-    "bar_chart",
     "bits_to_bytes",
     "bits_to_int",
     "bytes_to_bits",
@@ -39,13 +40,11 @@ __all__ = [
     "frequency_shift",
     "hamming_distance",
     "int_to_bits",
-    "line_plot",
     "linear_to_db",
     "normalize_power",
     "pack_nibbles",
     "papr_db",
     "polyphase_resample",
-    "scatter_plot",
     "spawn_rngs",
     "unpack_nibbles",
     "verify_fcs",

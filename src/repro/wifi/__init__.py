@@ -4,6 +4,14 @@ The package implements the complete transmitter of Fig. 2 — scrambling,
 convolutional coding, puncturing, interleaving, QAM mapping, pilot/null
 subcarrier allocation, 64-IFFT and cyclic prefixing — plus a reference
 receiver for round-trip validation.
+
+The package re-exports only what the emulation attack uses: constants,
+QAM, OFDM mapping and the scrambler.  The full TX/RX chain is imported
+from its own modules (:mod:`repro.wifi.transmitter`,
+:mod:`repro.wifi.receiver`, :mod:`repro.wifi.convcode`,
+:mod:`repro.wifi.interleaver`, :mod:`repro.wifi.preamble`,
+:mod:`repro.wifi.softdemap`, :mod:`repro.wifi.sync`), so importing the
+attack does not load it.
 """
 
 from repro.wifi.constants import (
@@ -21,15 +29,6 @@ from repro.wifi.constants import (
     ZIGBEE_OFFSET_SUBCARRIERS,
     logical_to_fft_index,
 )
-from repro.wifi.convcode import (
-    conv_encode,
-    decode_with_rate,
-    depuncture,
-    encode_with_rate,
-    puncture,
-    viterbi_decode,
-)
-from repro.wifi.interleaver import deinterleave, interleave
 from repro.wifi.ofdm import (
     assemble_symbols,
     extract_data_subcarriers,
@@ -38,28 +37,13 @@ from repro.wifi.ofdm import (
     ofdm_modulate_bins,
     split_symbols,
 )
-from repro.wifi.preamble import (
-    long_training_field,
-    parse_signal_field,
-    short_training_field,
-    signal_field_bits,
-    signal_field_waveform,
-)
 from repro.wifi.qam import QamModulation, modulation_for_name
-from repro.wifi.receiver import WifiReceiveResult, WifiReceiver, receive_any
-from repro.wifi.softdemap import (
-    depuncture_soft,
-    soft_demodulate,
-    viterbi_decode_soft,
-)
-from repro.wifi.sync import WifiSyncResult, WifiSynchronizer
 from repro.wifi.scrambler import (
     descramble,
     pilot_polarity_sequence,
     scramble,
     scrambler_sequence,
 )
-from repro.wifi.transmitter import WifiTransmitResult, WifiTransmitter
 
 __all__ = [
     "CP_LENGTH",
@@ -74,40 +58,17 @@ __all__ = [
     "SAMPLE_RATE_HZ",
     "SUBCARRIER_SPACING_HZ",
     "SYMBOL_LENGTH",
-    "WifiReceiveResult",
-    "WifiReceiver",
-    "WifiSyncResult",
-    "WifiSynchronizer",
-    "WifiTransmitResult",
-    "WifiTransmitter",
     "ZIGBEE_OFFSET_SUBCARRIERS",
     "assemble_symbols",
-    "conv_encode",
-    "decode_with_rate",
-    "deinterleave",
-    "depuncture",
-    "depuncture_soft",
     "descramble",
-    "encode_with_rate",
     "extract_data_subcarriers",
-    "interleave",
     "logical_to_fft_index",
-    "long_training_field",
     "map_subcarriers",
     "modulation_for_name",
     "ofdm_demodulate_symbol",
     "ofdm_modulate_bins",
-    "parse_signal_field",
     "pilot_polarity_sequence",
-    "puncture",
-    "receive_any",
     "scramble",
     "scrambler_sequence",
-    "short_training_field",
-    "signal_field_bits",
-    "signal_field_waveform",
-    "soft_demodulate",
     "split_symbols",
-    "viterbi_decode",
-    "viterbi_decode_soft",
 ]

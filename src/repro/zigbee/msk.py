@@ -22,10 +22,14 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DecodingError
+from repro.errors import ConfigurationError
 from repro.zigbee.chips import chip_table
 from repro.zigbee.constants import CHIPS_PER_SYMBOL, NUM_SYMBOLS
-from repro.zigbee.spreading import DespreadDecision
+from repro.zigbee.spreading import (
+    DespreadDecision,
+    byte_distance_tables,
+    despread_packed,
+)
 
 #: Number of unmasked chips the MSK correlator uses per symbol.
 MSK_USABLE_CHIPS = CHIPS_PER_SYMBOL - 1
@@ -66,6 +70,14 @@ def msk_usable_table_int64() -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=1)
+def _msk_distance_tables() -> np.ndarray:
+    # Chip 0 depends on the previous symbol, so it never counts.
+    care = np.ones(CHIPS_PER_SYMBOL, dtype=np.uint8)
+    care[0] = 0
+    return byte_distance_tables(msk_chip_table(), care)
+
+
 class MskDespreader:
     """Masked minimum-Hamming-distance decoder over frequency signs."""
 
@@ -76,6 +88,7 @@ class MskDespreader:
             )
         self.correlation_threshold = correlation_threshold
         self._table = msk_usable_table_int64()
+        self._tables = _msk_distance_tables()
 
     def despread_sequence(self, freq_chips: Sequence[int]) -> DespreadDecision:
         """Decode one 32-chip frequency-sign block (chip 0 ignored)."""
@@ -103,45 +116,22 @@ class MskDespreader:
 
         Mirrors :meth:`DsssDespreader.despread_arrays`: the last axis
         must be whole 32-chip sequences (chip 0 of each is masked) and
-        rejected sequences carry symbol ``-1``.  Integer-exact.
+        rejected sequences carry symbol ``-1``.  Runs on packed chips;
+        integer-exact, so it agrees with :meth:`despread_sequence`.
         """
-        stream = np.asarray(freq_chips, dtype=np.int64)
-        if stream.shape[-1] % CHIPS_PER_SYMBOL != 0:
-            raise DecodingError(
-                f"chip stream of {stream.shape[-1]} is not a whole "
-                f"number of symbols"
-            )
-        leading = stream.shape[:-1]
-        per_row = stream.shape[-1] // CHIPS_PER_SYMBOL
-        out_shape = leading + (per_row,)
-        if stream.size == 0:
-            empty = np.zeros(out_shape, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        blocks = stream.reshape(-1, CHIPS_PER_SYMBOL)[:, 1:]
-        distances = np.count_nonzero(
-            blocks[:, None, :] != self._table[None, :, :], axis=2
-        )
-        order = np.argsort(distances, axis=1, kind="stable")
-        best = order[:, 0]
-        runner_up = order[:, 1]
-        rows = np.arange(blocks.shape[0])
-        best_distances = distances[rows, best]
-        runner_distances = distances[rows, runner_up]
-        symbols = np.where(best_distances <= self.correlation_threshold, best, -1)
-        return (
-            symbols.reshape(out_shape),
-            best_distances.reshape(out_shape),
-            runner_distances.reshape(out_shape),
+        return despread_packed(
+            freq_chips, self._tables, self.correlation_threshold
         )
 
     def despread(self, freq_chips: Sequence[int]) -> List[DespreadDecision]:
         """Decode a frequency-sign stream; length must be whole symbols.
 
-        Vectorized like :meth:`DsssDespreader.despread`: one broadcasted
-        distance computation over all symbols (masked chip 0 excluded).
+        Vectorized like :meth:`DsssDespreader.despread`: one packed pass
+        over all symbols (masked chip 0 excluded).
         """
-        stream = np.asarray(freq_chips, dtype=np.int64)
-        symbols, best_distances, runner_distances = self.despread_arrays(stream)
+        symbols, best_distances, runner_distances = self.despread_arrays(
+            freq_chips
+        )
         return [
             DespreadDecision(
                 symbol=int(symbols[i]) if symbols[i] >= 0 else None,

@@ -11,6 +11,7 @@ waveform's 4-8 chip errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +23,103 @@ from repro.zigbee.constants import (
     DEFAULT_CORRELATION_THRESHOLD,
     NUM_SYMBOLS,
 )
+
+
+#: Set bits of every byte value.  ``np.bitwise_count`` needs numpy 2;
+#: the package supports numpy 1.21.
+_POPCOUNT8 = np.array(
+    [bin(value).count("1") for value in range(256)], dtype=np.int64
+)
+
+#: Bytes in one packed 32-chip block.
+_BLOCK_BYTES = CHIPS_PER_SYMBOL // 8
+
+
+def _pack_chip_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Pack ``(n, 32)`` hard chips into ``(n, 4)`` bytes.
+
+    Chip ``j`` of a block is bit ``j % 8`` of byte ``j // 8``, so the
+    four bytes read as a little-endian ``uint32`` hold the block.
+
+    Raises:
+        ConfigurationError: a chip is not 0 or 1 (packing would read
+            any nonzero chip as 1).
+    """
+    if not np.all((blocks == 0) | (blocks == 1)):
+        raise ConfigurationError("hard-decision chips must be 0 or 1")
+    return np.packbits(blocks.astype(np.uint8), axis=-1, bitorder="little")
+
+
+def byte_distance_tables(
+    codewords: np.ndarray, care: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Hamming distances from every chip byte to every codeword's byte.
+
+    ``tables[k, v, s]`` is the popcount of ``v XOR`` byte ``k`` of packed
+    codeword ``s``, counting only chips where ``care`` (32 chips, default
+    all ones) is 1.  A packed block's distance to codeword ``s`` is the
+    sum of ``tables[k, block[k], s]`` over its four bytes: the popcount
+    of the XOR of the two packed blocks, looked up one byte at a time.
+    """
+    code_bytes = _pack_chip_blocks(codewords)
+    if care is None:
+        care = np.ones(CHIPS_PER_SYMBOL, dtype=np.uint8)
+    care_bytes = _pack_chip_blocks(care)
+    values = np.arange(256)[None, :, None]
+    tables = _POPCOUNT8[
+        (values ^ code_bytes.T[:, None, :]) & care_bytes[:, None, None]
+    ]
+    tables.setflags(write=False)
+    return tables
+
+
+def despread_packed(
+    chips: np.ndarray, tables: np.ndarray, threshold: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-Hamming-distance decoding of a (..., chips) 0/1 stream.
+
+    The last axis must be whole 32-chip blocks.  Each block is packed
+    into four bytes and its distance to every codeword summed from
+    :func:`byte_distance_tables`.  Returns ``(symbols, distances,
+    runner_up_distances)`` int64 arrays, one entry per block (leading
+    axes kept); a block whose best distance exceeds ``threshold`` gets
+    symbol ``-1``.  Ties keep the stable order: the best codeword is the
+    first at the minimum distance, the runner-up the first of the rest.
+
+    Raises:
+        DecodingError: the last axis is not whole blocks.
+        ConfigurationError: a chip is not 0 or 1.
+    """
+    chip_array = np.asarray(chips)
+    if chip_array.shape[-1] % CHIPS_PER_SYMBOL != 0:
+        raise DecodingError(
+            f"chip stream of {chip_array.shape[-1]} is not a whole "
+            f"number of symbols"
+        )
+    out_shape = chip_array.shape[:-1] + (
+        chip_array.shape[-1] // CHIPS_PER_SYMBOL,
+    )
+    packed = _pack_chip_blocks(chip_array.reshape(-1, CHIPS_PER_SYMBOL))
+    distances = tables[0][packed[:, 0]]
+    for k in range(1, _BLOCK_BYTES):
+        distances += tables[k][packed[:, k]]
+    rows = np.arange(distances.shape[0])
+    best = distances.argmin(axis=1)
+    best_distances = distances[rows, best]
+    distances[rows, best] = CHIPS_PER_SYMBOL + 1
+    runner_up = distances.argmin(axis=1)
+    runner_distances = distances[rows, runner_up]
+    symbols = np.where(best_distances <= threshold, best, -1)
+    return (
+        symbols.reshape(out_shape),
+        best_distances.reshape(out_shape),
+        runner_distances.reshape(out_shape),
+    )
+
+
+@lru_cache(maxsize=1)
+def _dsss_distance_tables() -> np.ndarray:
+    return byte_distance_tables(chip_table())
 
 
 def spread_symbols(symbols: Iterable[int]) -> np.ndarray:
@@ -68,6 +166,7 @@ class DsssDespreader:
             )
         self.correlation_threshold = correlation_threshold
         self._table = chip_table_int64()
+        self._tables = _dsss_distance_tables()
 
     def despread_sequence(self, chips: Sequence[int]) -> DespreadDecision:
         """Decode exactly one 32-chip hard-decision sequence."""
@@ -90,54 +189,27 @@ class DsssDespreader:
     def despread_arrays(
         self, chips: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-form despreading of a (...,  chips) hard-decision stream.
+        """Array-form despreading of a (..., chips) hard-decision stream.
 
         Accepts a 1-D chip stream or any stack whose last axis is a whole
         number of 32-chip sequences, and returns ``(symbols, distances,
         runner_up_distances)`` int64 arrays with one entry per sequence
         (leading axes preserved).  Rejected sequences carry symbol ``-1``
         instead of ``None`` so the hot receive path never materializes
-        per-symbol :class:`DespreadDecision` objects.  Integer-exact, so
-        batched and scalar calls agree bit-for-bit.
+        per-symbol :class:`DespreadDecision` objects.  Runs on packed
+        chips (:func:`despread_packed`); integer-exact, so it agrees with
+        :meth:`despread_sequence` and batched and scalar calls agree
+        bit-for-bit.
         """
-        chip_array = np.asarray(chips, dtype=np.int64)
-        if chip_array.shape[-1] % CHIPS_PER_SYMBOL != 0:
-            raise DecodingError(
-                f"chip stream of {chip_array.shape[-1]} is not a whole "
-                f"number of symbols"
-            )
-        leading = chip_array.shape[:-1]
-        per_row = chip_array.shape[-1] // CHIPS_PER_SYMBOL
-        out_shape = leading + (per_row,)
-        if chip_array.size == 0:
-            empty = np.zeros(out_shape, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        blocks = chip_array.reshape(-1, CHIPS_PER_SYMBOL)
-        # distances[i, s] = Hamming distance of block i to codeword s.
-        distances = np.count_nonzero(
-            blocks[:, None, :] != self._table[None, :, :], axis=2
-        )
-        order = np.argsort(distances, axis=1, kind="stable")
-        best = order[:, 0]
-        runner_up = order[:, 1]
-        rows = np.arange(blocks.shape[0])
-        best_distances = distances[rows, best]
-        runner_distances = distances[rows, runner_up]
-        symbols = np.where(best_distances <= self.correlation_threshold, best, -1)
-        return (
-            symbols.reshape(out_shape),
-            best_distances.reshape(out_shape),
-            runner_distances.reshape(out_shape),
-        )
+        return despread_packed(chips, self._tables, self.correlation_threshold)
 
     def despread(self, chips: Sequence[int]) -> List[DespreadDecision]:
         """Decode a chip stream; length must be a multiple of 32.
 
-        Vectorized: distances for all symbols are computed in one
-        (symbols x 16) broadcast rather than a Python loop per symbol.
+        Vectorized: one packed pass over all symbols
+        (:meth:`despread_arrays`) rather than a Python loop per symbol.
         """
-        chip_array = np.asarray(chips, dtype=np.int64)
-        symbols, best_distances, runner_distances = self.despread_arrays(chip_array)
+        symbols, best_distances, runner_distances = self.despread_arrays(chips)
         return [
             DespreadDecision(
                 symbol=int(symbols[i]) if symbols[i] >= 0 else None,

@@ -57,7 +57,7 @@ class TestCli:
         assert any(row["modulation"] == "QPSK" for row in payload["rows"])
 
     def test_save_writes_manifest(self, tmp_path, capsys):
-        from repro.telemetry import read_manifest
+        from repro.telemetry.manifest import read_manifest
 
         directory = str(tmp_path / "results")
         assert main(["run", "table1", "--seed", "5", "--save", directory]) == 0

@@ -1,11 +1,12 @@
 """Engine failures: a raising trial fails the run; a dead worker goes serial."""
 
+import concurrent.futures
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.errors import ConfigurationError, TrialExecutionError
-from repro.experiments import engine as engine_module
 from repro.experiments.engine import MonteCarloEngine, batch_trial
 from repro.telemetry import get_telemetry
 from repro.utils.rng import spawn_seeds
@@ -64,7 +65,7 @@ class _FakeFuture:
 
     def result(self):
         if self._crash:
-            raise engine_module.BrokenProcessPool("simulated worker death")
+            raise BrokenProcessPool("simulated worker death")
         return self._value
 
 
@@ -208,7 +209,7 @@ class TestNoExceptionBecomesARow:
             crash_pools = 1
             instances = []
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         engine = MonteCarloEngine(workers=2, chunk_size=4)
         with engine.session({}) as session:
             recovered = _failure_of(
@@ -226,7 +227,7 @@ class TestPoolCrashRecovery:
             crash_pools = 1
             instances = []
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         telemetry = get_telemetry()
         telemetry.reset()
         telemetry.enable()
@@ -256,7 +257,7 @@ class TestPoolCrashRecovery:
             crash_pools = 1
             instances = []
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         engine = MonteCarloEngine(workers=2, chunk_size=3)
         with engine.session({}) as session:
             results = session.run(_draw_trial, 10, rng=5, static_args=(1.5,))
@@ -273,7 +274,7 @@ class TestPoolCrashRecovery:
         class Pool(_FakePool):
             instances = []
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         engine = MonteCarloEngine(workers=2, chunk_size=5)
         session = engine.session({})
         session.run(_draw_trial, 4, rng=1, static_args=(1.0,))
@@ -295,7 +296,7 @@ class TestWorkerSizing:
         class Pool(_FakePool):
             instances = []
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         engine = MonteCarloEngine(workers=(os.cpu_count() or 1) + 1)
         with pytest.warns(RuntimeWarning, match="exceeds the host"):
             with engine.session({}) as session:

@@ -9,15 +9,15 @@ parallel, including for a run that fails on a raising trial — and an
 run.
 """
 
+import concurrent.futures
 import io
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError, TrialExecutionError
-from repro.experiments import engine as engine_module
 from repro.experiments import table2_attack_awgn
-from repro.experiments.engine import MonteCarloEngine
+from repro.experiments.engine import MonteCarloEngine, batch_trial
 from repro.telemetry.events import (
     EVENT_TYPES,
     EventStream,
@@ -47,6 +47,15 @@ def _failing_draw_trial(context, args, rng):
     if int(rng.bit_generator.seed_seq.entropy) == _FAILING_SEED:
         raise ValueError("planted failure")
     return float(rng.normal())
+
+
+@batch_trial
+def _failing_draw_batch(context, args, rngs):
+    """Batched :func:`_failing_draw_trial`: the whole dispatch raises."""
+    seeds = [int(rng.bit_generator.seed_seq.entropy) for rng in rngs]
+    if _FAILING_SEED in seeds:
+        raise ValueError("planted batch failure")
+    return [float(rng.normal()) for rng in rngs]
 
 
 @pytest.fixture(autouse=True)
@@ -100,8 +109,8 @@ class TestEventStream:
         sink = stream.add_sink(MemoryEventSink())
         stream.enable()
         with pytest.raises(ConfigurationError, match="trial_index"):
-            stream.emit("trial_failure", seed=1, exception_type="ValueError",
-                        message="broken")
+            stream.emit("trial_failure", seeds=[1], rows=1,
+                        exception_type="ValueError", message="broken")
         assert sink.records == []
 
     def test_undeclared_field_on_closed_schema_rejected(self):
@@ -110,7 +119,7 @@ class TestEventStream:
         stream.enable()
         with pytest.raises(ConfigurationError, match="mood"):
             stream.emit(
-                "trial_failure", trial_index=3, seed=1,
+                "trial_failure", trial_index=3, seeds=[1], rows=1,
                 exception_type="ValueError", message="broken", mood="grim",
             )
         assert sink.records == []
@@ -123,7 +132,7 @@ class TestEventStream:
         stream.point_started("table2", "snr15", trials=3)
         first, second = sink.records
         assert first["event"] == "run_started"
-        assert first["schema_version"] == 1
+        assert first["schema_version"] == 2
         assert [first["seq"], second["seq"]] == [1, 2]
         assert first["run_id"] == second["run_id"] == "run-42"
         assert "ts" in first
@@ -243,7 +252,7 @@ class TestEngineEventDeterminism:
         stream.enable()
         if workers > 1:
             monkeypatch.setattr(
-                engine_module, "ProcessPoolExecutor", _EagerPool
+                concurrent.futures, "ProcessPoolExecutor", _EagerPool
             )
         engine = MonteCarloEngine(workers=workers, chunk_size=2)
         try:
@@ -270,6 +279,43 @@ class TestEngineEventDeterminism:
         assert serial_events == pooled_events == [
             "heartbeat", "heartbeat", "trial_failure",
         ]
+
+    def _failure_record(self, monkeypatch, path, workers):
+        """The ``trial_failure`` record a failing batched run writes."""
+        if workers > 1:
+            monkeypatch.setattr(
+                concurrent.futures, "ProcessPoolExecutor", _EagerPool
+            )
+        stream = get_event_stream()
+        stream.reset()
+        stream.add_sink(FileEventSink(path))
+        stream.enable()
+        engine = MonteCarloEngine(workers=workers, chunk_size=4)
+        with pytest.raises(TrialExecutionError):
+            with engine.session({}) as session:
+                session.run(_failing_draw_batch, 6, rng=5)
+        stream.reset()
+        (record,) = [
+            record for record in read_events_jsonl(path)
+            if record["event"] == "trial_failure"
+        ]
+        return {k: v for k, v in record.items() if k not in ("seq", "ts")}
+
+    def test_failing_batch_event_names_every_seed_of_its_dispatch(
+        self, tmp_path, monkeypatch
+    ):
+        # Trial 3 sits in the first 4-row dispatch, which raises whole.
+        serial = self._failure_record(
+            monkeypatch, tmp_path / "serial.jsonl", workers=1
+        )
+        pooled = self._failure_record(
+            monkeypatch, tmp_path / "pooled.jsonl", workers=2
+        )
+        assert serial == pooled
+        assert serial["trial_index"] == 0
+        assert serial["seeds"] == spawn_seeds(5, 6)[:4]
+        assert serial["rows"] == 4
+        assert serial["exception_type"] == "ValueError"
 
     def test_clean_run_emits_only_heartbeats(self, monkeypatch):
         _, serial_events = self._run_events(monkeypatch, workers=1)

@@ -1,10 +1,11 @@
 """Monte Carlo engine: determinism, telemetry merge, fallback."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import engine as engine_module
 from repro.experiments import table2_attack_awgn
 from repro.experiments.engine import MonteCarloEngine, batch_trial
 from repro.telemetry import SpanNode, Telemetry, get_telemetry
@@ -180,7 +181,7 @@ class TestFallback:
         def broken_pool(*args, **kwargs):
             raise OSError("no process spawning in this sandbox")
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
         engine = MonteCarloEngine(workers=4)
         with engine.session({"gain": 1.0}) as session:
             results = session.run(_draw_trial, 9, rng=2, static_args=(1.0,))
@@ -192,7 +193,7 @@ class TestFallback:
         def broken_pool(*args, **kwargs):
             raise OSError("no process spawning in this sandbox")
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
         telemetry = get_telemetry()
         telemetry.reset()
         telemetry.enable()
@@ -214,7 +215,7 @@ class TestFallback:
         def broken_pool(*args, **kwargs):
             raise TypeError("a bug, not a restricted environment")
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
         engine = MonteCarloEngine(workers=4)
         with engine.session({"gain": 1.0}) as session:
             with pytest.raises(TypeError):

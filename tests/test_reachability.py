@@ -12,7 +12,12 @@ imports nothing:
   ``from repro.pkg import X`` is an edge to the module that defines
   ``X``, following the package ``__init__``'s re-exports;
 * a package ``__init__`` is reached when any of its submodules is, but
-  its own imports are not followed (re-exports reach nothing).
+  its own imports are not followed (re-exports reach nothing);
+* a module that imports lazily by dotted name (the experiment registry)
+  is listed in :data:`LAZY_TABLES` with the module-level table holding
+  those names, and every string in that table that names a module is an
+  edge.  A module named anywhere else (a docstring, a comment, an error
+  message) stays unreached.
 
 What stays unreached must be listed in :data:`KEPT` with its reason, so
 a new dead module fails here, and so does a kept one that the CLI
@@ -26,6 +31,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCE_ROOT = os.path.join(REPO_ROOT, "src")
 
 ROOTS = ("repro.cli", "repro.__main__", "repro.analysis.__main__")
+
+#: Module -> the module-level name of its table of lazily imported
+#: dotted module names.
+LAZY_TABLES = {"repro.experiments.registry": "_ENTRIES"}
 
 #: Modules no CLI path imports, kept on purpose.
 KEPT = {
@@ -109,7 +118,23 @@ class ImportGraph:
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 for alias in node.names:
                     targets.add(self.defining_module(node.module, alias.name))
+        targets.update(self.lazy_edges(name))
         return {target for target in targets if target in self.modules}
+
+    def lazy_edges(self, name):
+        """Module names in ``name``'s :data:`LAZY_TABLES` table, if any."""
+        table = LAZY_TABLES.get(name)
+        for node in self.tree(name).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == table
+                for target in node.targets
+            ):
+                return {
+                    constant.value for constant in ast.walk(node.value)
+                    if isinstance(constant, ast.Constant)
+                    and constant.value in self.modules
+                }
+        return set()
 
     def reached(self, roots):
         reached = set()
@@ -131,6 +156,29 @@ class ImportGraph:
 def unreached(source_root=SOURCE_ROOT):
     graph = ImportGraph(source_root)
     return set(graph.modules) - graph.reached(ROOTS)
+
+
+def test_a_module_named_outside_the_table_stays_unreached(tmp_path):
+    files = {
+        "repro/__init__.py": "",
+        "repro/__main__.py": "",
+        "repro/analysis/__init__.py": "",
+        "repro/analysis/__main__.py": "",
+        "repro/cli.py": "import repro.experiments.registry\n",
+        "repro/experiments/__init__.py": "",
+        "repro/experiments/registry.py": (
+            '"""Once listed repro.experiments.dead."""\n'
+            '_ENTRIES = [("live", "repro.experiments.live")]\n'
+            'OTHER = ["repro.experiments.dead"]\n'
+        ),
+        "repro/experiments/live.py": "",
+        "repro/experiments/dead.py": "",
+    }
+    for relative, text in files.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert unreached(str(tmp_path)) == {"repro.experiments.dead"}
 
 
 def test_only_the_kept_modules_are_unreached():

@@ -10,16 +10,13 @@ from repro.telemetry import (
     MetricRegistry,
     SpanNode,
     Telemetry,
-    build_manifest,
     get_telemetry,
-    load_telemetry,
     metric_key,
-    read_manifest,
-    render_telemetry,
     stopwatch,
     traced,
-    write_manifest,
 )
+from repro.telemetry.manifest import build_manifest, read_manifest, write_manifest
+from repro.telemetry.report import load_telemetry, render_telemetry
 
 
 @pytest.fixture(autouse=True)

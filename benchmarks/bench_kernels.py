@@ -13,15 +13,17 @@ import pytest
 from repro.attack import EmulationConfig, WaveformEmulationAttack, optimize_scale
 from repro.attack.interpolate import spectrum_table
 from repro.defense import CumulantDetector
+from repro.channel.environment import RealEnvironment
 from repro.experiments.common import (
     build_observed_waveform,
+    prepare_authentic,
     prepare_emulated,
     transmit_batch,
 )
 from repro.experiments.sweep import untracked_if_quadrature
 from repro.hardware.usrp import gnuradio_simulation_receiver_config
 from repro.telemetry import stopwatch
-from repro.utils.signal_ops import channelize_batch
+from repro.utils.signal_ops import channelize_batch, normalize_power
 from repro.wifi.qam import modulation_for_name
 from repro.wifi.convcode import decode_with_rate, encode_with_rate
 from repro.zigbee.oqpsk import OqpskDemodulator
@@ -99,6 +101,49 @@ def test_bench_channelize(benchmark, rows):
     )
     baseband = benchmark(lambda: channelize_batch(stacked, 1.5e6, 20e6, 4e6))
     assert baseband.shape == (rows, 2934)
+
+
+@pytest.mark.parametrize("rate", ["air", "receiver"])
+def test_bench_row_channel(benchmark, capsys, rate):
+    """Table V's channel for 16 rows of the 14,590-sample authentic frame
+    at 6 m, up to the defense receiver's 4 Msps input.
+
+    ``air``: each row's ``RealEnvironment.channel_at(...).apply`` at
+    20 Msps, then ``channelize_batch`` over the stack (the full-rate
+    reference).  ``receiver``: the same chain at 4 Msps on the frame
+    channelized once, with the noise drawn in the receiver's band.
+    Prints milliseconds per row.
+    """
+    prepared = prepare_authentic()
+    assert prepared.on_air.samples.size == 14_590
+    env = RealEnvironment(rng=0)
+    generators = [np.random.default_rng(seed) for seed in range(16)]
+    if rate == "air":
+        frame = prepared.on_air.with_samples(
+            normalize_power(prepared.on_air.samples)
+        )
+
+        def rows():
+            stacked = np.stack([
+                env.channel_at(6.0, rng=g).apply(frame).samples
+                for g in generators
+            ])
+            return channelize_batch(stacked, 1.5e6, 20e6, 4e6)
+    else:
+        clean, band = prepared.at_receiver(ZigBeeReceiver())
+
+        def rows():
+            return np.stack([
+                env.channel_at(6.0, rng=g, band=band).apply(clean).samples
+                for g in generators
+            ])
+
+    baseband = benchmark(rows)
+    assert baseband.shape == (16, 2918)
+    if benchmark.stats is not None:
+        with capsys.disabled():
+            print(f"\n{rate} rate: "
+                  f"{benchmark.stats.stats.median / 16 * 1e3:.3f} ms per row")
 
 
 @pytest.mark.parametrize("phase_tracking", [True, False])

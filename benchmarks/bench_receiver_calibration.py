@@ -22,12 +22,15 @@ def _per(prepared, receiver, snr_db, trials, rng_seed):
     from repro.errors import SynchronizationError
 
     failures = 0
+    clean, band = prepared.at_receiver(receiver)
     for generator in spawn_rngs(rng_seed, trials):
+        # The SNR inside the 2 MHz channel, drawn where the receiver reads.
         channel = AwgnChannel(
-            snr_db, rng=generator, noise_bandwidth_hz=2e6
+            snr_db, rng=generator, normalize=False, signal_power=1.0,
+            noise_bandwidth_hz=2e6, band=band,
         )
         try:
-            packet = receiver.receive(channel.apply(prepared.on_air))
+            packet = receiver.receive(channel.apply(clean))
         except SynchronizationError:
             failures += 1
             continue

@@ -9,7 +9,6 @@ from repro.channel.environment import (
 )
 from repro.channel.fading import (
     BlockFadingChannel,
-    MultipathChannel,
     rayleigh_gain,
     rician_gain,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "FrequencyOffsetChannel",
     "IdentityChannel",
     "LinkBudget",
-    "MultipathChannel",
     "PhaseOffsetChannel",
     "RealEnvironment",
     "THERMAL_NOISE_DBM_HZ",

@@ -4,6 +4,11 @@ The paper's convention: the transmitted waveform is normalized to unit
 average power and ``SNR = 1 / sigma^2`` where ``sigma^2`` is the total
 complex noise variance.  :class:`AwgnChannel` implements exactly that;
 :func:`add_awgn` is the functional form used by quick scripts.
+
+Given a :class:`~repro.utils.signal_ops.ReceiverBand`, the channel adds
+the noise where a receiver reads it instead: the capture's white noise
+after the receiver's channel filter and decimation, drawn directly at
+the receiver's rate, so a sweep never builds the full-rate capture.
 """
 
 from __future__ import annotations
@@ -15,7 +20,12 @@ import numpy as np
 from repro.channel.base import Channel
 from repro.errors import ConfigurationError
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.signal_ops import Waveform, db_to_linear, normalize_power
+from repro.utils.signal_ops import (
+    ReceiverBand,
+    Waveform,
+    db_to_linear,
+    normalize_power,
+)
 
 
 def add_awgn(
@@ -35,17 +45,23 @@ def add_awgn(
     """
     generator = ensure_rng(rng)
     array = np.asarray(samples, dtype=np.complex128)
-    if signal_power is None:
-        signal_power = float(np.mean(np.abs(array) ** 2)) if array.size else 0.0
-    if signal_power <= 0:
-        raise ConfigurationError("signal power must be positive to define SNR")
-    noise_variance = signal_power / db_to_linear(snr_db)
+    noise_variance = _noise_variance(array, snr_db, signal_power)
     scale = np.sqrt(noise_variance / 2.0)
     noise = scale * (
         generator.standard_normal(array.size)
         + 1j * generator.standard_normal(array.size)
     )
     return array + noise
+
+
+def _noise_variance(
+    array: np.ndarray, snr_db: float, signal_power: Optional[float]
+) -> float:
+    if signal_power is None:
+        signal_power = float(np.mean(np.abs(array) ** 2)) if array.size else 0.0
+    if signal_power <= 0:
+        raise ConfigurationError("signal power must be positive to define SNR")
+    return signal_power / db_to_linear(snr_db)
 
 
 class AwgnChannel(Channel):
@@ -62,6 +78,15 @@ class AwgnChannel(Channel):
             to that band sees the requested SNR.  When ``None`` (the
             paper's simulation convention) the SNR is over the full
             sampling bandwidth.
+        signal_power: the SNR's reference power when not normalizing;
+            measured from the input when omitted.  Channel chains pass
+            1.0: their input is (a receiver's view of) the unit-power
+            transmit frame, so fading ahead of the noise moves the SNR.
+        band: when set, the input is at the receiver's rate
+            (``band.rate_hz``) and the noise is the capture-rate white
+            noise as that receiver reads it; rates and ``noise_bandwidth_hz``
+            refer to the capture.  ``None`` adds white noise at the input's
+            own rate.
     """
 
     def __init__(
@@ -70,12 +95,16 @@ class AwgnChannel(Channel):
         rng: RngLike = None,
         normalize: bool = True,
         noise_bandwidth_hz: Optional[float] = None,
+        signal_power: Optional[float] = None,
+        band: Optional[ReceiverBand] = None,
     ):
         if noise_bandwidth_hz is not None and noise_bandwidth_hz <= 0:
             raise ConfigurationError("noise_bandwidth_hz must be positive")
         self.snr_db = float(snr_db)
         self.normalize = normalize
         self.noise_bandwidth_hz = noise_bandwidth_hz
+        self.signal_power = signal_power
+        self.band = band
         self._rng = ensure_rng(rng)
 
     def effective_snr_db(self, sample_rate_hz: float) -> float:
@@ -89,12 +118,26 @@ class AwgnChannel(Channel):
 
     def apply(self, waveform: Waveform) -> Waveform:
         samples = waveform.samples
+        signal_power = self.signal_power
         if self.normalize:
             samples = normalize_power(samples)
-        noisy = add_awgn(
-            samples,
-            self.effective_snr_db(waveform.sample_rate_hz),
-            rng=self._rng,
-            signal_power=1.0 if self.normalize else None,
+            signal_power = 1.0
+        band = self.band
+        if band is None:
+            noisy = add_awgn(
+                samples,
+                self.effective_snr_db(waveform.sample_rate_hz),
+                rng=self._rng,
+                signal_power=signal_power,
+            )
+            return waveform.with_samples(noisy)
+        if (samples.size != band.samples
+                or abs(waveform.sample_rate_hz - band.rate_hz) > 1e-6):
+            raise ConfigurationError(
+                f"band expects {band.samples} samples at {band.rate_hz} Hz, "
+                f"got {samples.size} at {waveform.sample_rate_hz} Hz"
+            )
+        variance = _noise_variance(
+            samples, self.effective_snr_db(band.capture_rate_hz), signal_power
         )
-        return waveform.with_samples(noisy)
+        return waveform.with_samples(samples + band.noise(self._rng, variance))

@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from repro.channel.awgn import AwgnChannel
 from repro.channel.base import Channel, ChannelChain
@@ -19,6 +19,7 @@ from repro.channel.fading import BlockFadingChannel
 from repro.channel.offsets import FrequencyOffsetChannel, PhaseOffsetChannel
 from repro.channel.pathloss import LinkBudget
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
+from repro.utils.signal_ops import ReceiverBand
 
 
 def awgn_environment(snr_db: float, rng: RngLike = None) -> Channel:
@@ -81,8 +82,13 @@ class RealEnvironment:
         distance_m: float,
         extra_loss_db: float = 0.0,
         rng: RngLike = None,
+        band: Optional[ReceiverBand] = None,
     ) -> Channel:
         """A per-packet channel realization for one transmission.
+
+        The chain's input is the unit-power transmit frame: block fading,
+        CFO and phase act on it, and the noise is referenced to that unit
+        power, so ``|h|^2`` of the fading gain reaches the SNR.
 
         Args:
             distance_m: transmitter-receiver separation.
@@ -92,11 +98,17 @@ class RealEnvironment:
                 the environment's own generator — required when trials
                 run in parallel, where each trial owns a spawned stream
                 and the environment object is shared read-only.
+            band: the input is the frame as this receiver reads it
+                (:meth:`repro.experiments.common.PreparedLink.at_receiver`),
+                and the noise is drawn there; ``None`` runs the chain at
+                the input's own rate.  The CFO then acts at the receiver's
+                rate, which the channel filter leaves unchanged for
+                offsets this far inside its passband.
         """
         fading_rng, cfo_rng, phase_rng, noise_rng, shadow_rng = spawn_rngs(
             self._rng if rng is None else rng, 5
         )
-        stages = []
+        stages: List[Channel] = []
         if self.fading == "rayleigh":
             stages.append(BlockFadingChannel(k_factor_db=None, rng=fading_rng))
         elif self.fading == "rician" and self.k_factor_db is not None:
@@ -117,7 +129,10 @@ class RealEnvironment:
             AwgnChannel(
                 snr_db=snr_db,
                 rng=noise_rng,
+                normalize=False,
                 noise_bandwidth_hz=self.budget.bandwidth_hz,
+                signal_power=1.0,
+                band=band,
             )
         )
         return ChannelChain(stages)

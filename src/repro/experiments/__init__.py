@@ -1,6 +1,7 @@
-"""Per-table/figure experiment harness (see DESIGN.md section 4)."""
+"""Per-table/figure experiment harness (see DESIGN.md section 4).
 
-from repro.experiments.common import ExperimentResult
-from repro.experiments.engine import EngineSession, MonteCarloEngine
+The package re-exports nothing, so importing the registry loads only
+the registry: import from the defining modules.
+"""
 
-__all__ = ["EngineSession", "ExperimentResult", "MonteCarloEngine"]
+__all__: list = []

@@ -9,7 +9,7 @@ and the CLI can render the same tables the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,12 @@ from repro.attack.emulator import (
 from repro.errors import ConfigurationError
 from repro.telemetry import get_telemetry
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.signal_ops import Waveform
+from repro.utils.signal_ops import (
+    ReceiverBand,
+    Waveform,
+    db_to_linear,
+    normalize_power,
+)
 from repro.zigbee.receiver import ReceivedPacket, ReceiverConfig, ZigBeeReceiver
 from repro.zigbee.transmitter import TransmitResult, ZigBeeTransmitter
 
@@ -126,6 +131,30 @@ class PreparedLink:
     sent: TransmitResult
     on_air: Waveform
     emulation: Optional[EmulationResult]
+    _at_receiver: Dict[ReceiverBand, Waveform] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def at_receiver(
+        self, receiver: ZigBeeReceiver
+    ) -> Tuple[Waveform, ReceiverBand]:
+        """The noise-free frame as ``receiver`` reads it, and its band.
+
+        The channel convention of every sweep: the on-air capture is
+        normalized to unit power over its whole length (the SNR
+        reference) and channelized once, here; each row's channel then
+        runs at the receiver's rate on this frame and draws its noise in
+        the returned band.  Cached per band, so a sweep channelizes each
+        link once, on its first trial.
+        """
+        band = receiver.band(self.on_air.sample_rate_hz, self.on_air.samples.size)
+        clean = self._at_receiver.get(band)
+        if clean is None:
+            clean = receiver.channelize(
+                self.on_air.with_samples(normalize_power(self.on_air.samples))
+            )
+            self._at_receiver[band] = clean
+        return clean, band
 
 
 #: Signal-free samples prepended to every on-air waveform (25 us at
@@ -180,7 +209,7 @@ def transmit_once(
 
     The one-row case of :func:`transmit_batch`.  ``channel_factory`` (a
     scenario override; see :mod:`repro.experiments.sweep`) replaces the
-    default AWGN stage with ``channel_factory(snr_db, rng)``.
+    default AWGN stage with ``channel_factory(snr_db, rng, band)``.
     """
     with get_telemetry().span("experiment.transmit_once"):
         return _transmit_rows(
@@ -197,16 +226,15 @@ def transmit_batch(
 ) -> List[Optional[ReceivedPacket]]:
     """Noisy transmissions of a prepared waveform, one per RNG.
 
-    The prepared waveform is normalized once, over its full length;
-    each row's noise comes from its own RNG (real part, then imaginary),
-    so a row depends only on that RNG, and the whole stack goes through
-    the receiver's batched chain.  Behind a filtered receiver the noise
-    is drawn at the capture rate, with the 1-D generator calls
-    :class:`repro.channel.awgn.AwgnChannel` makes.  A naive receiver
-    reads only every k-th sample (:meth:`ZigBeeReceiver.naive_stride`),
-    so the clean frame is decimated first and noise is drawn only there:
-    white noise keeps its per-sample variance, so this is the same model
-    in distribution, with a different realization.  A
+    Rows start from :meth:`PreparedLink.at_receiver`: the frame,
+    normalized once over its full length and channelized once, at the
+    receiver's rate.  Each row's noise comes from its own RNG and is
+    drawn in the receiver's band, so a row depends only on that RNG, and
+    the whole stack goes through the receiver's batched chain.  A naive
+    receiver reads only every k-th sample, so its noise is white: real
+    normals, then imaginary, at the kept samples.  A filtering receiver
+    reads the noise through its channel filter, drawn with that filter's
+    spectrum (:func:`repro.utils.signal_ops.channelized_noise`).  A
     ``channel_factory`` replaces the AWGN stage row by row.  ``None``
     rows lost sync.
     """
@@ -226,46 +254,26 @@ def _transmit_rows(
     channel_factory: Optional[Callable[..., Any]],
 ) -> List[Optional[ReceivedPacket]]:
     """The one body behind :func:`transmit_once` and :func:`transmit_batch`."""
-    from repro.utils.signal_ops import db_to_linear, normalize_power
-
     telemetry = get_telemetry()
-    waveform = prepared.on_air
-    samples = waveform.samples
-    # A naive decimator reads only every stride-th sample, so the clean
-    # frame is decimated before the noise draw and the rows go to the
-    # receiver at its native rate.  ``[::None]`` keeps every sample.
-    stride = (
-        None if channel_factory is not None
-        else receiver.naive_stride(waveform.sample_rate_hz)
-    )
-    sample_rate_hz = (
-        waveform.sample_rate_hz if stride is None else receiver.sample_rate_hz
-    )
+    clean, band = prepared.at_receiver(receiver)
+    samples = clean.samples
     if channel_factory is not None:
         with telemetry.span("channel.custom"):
             rows = [
-                channel_factory(snr_db, generator).apply(waveform).samples
+                channel_factory(snr_db, generator, band).apply(clean).samples
                 for generator in rngs
             ]
             stacked = np.stack(rows)
     elif snr_db is None:
-        stacked = np.tile(samples[::stride], (len(rngs), 1))
+        stacked = np.tile(samples, (len(rngs), 1))
     else:
         with telemetry.span("channel.awgn"):
-            # Normalized over the whole capture: the SNR reference.
-            normalized = normalize_power(samples)[::stride]
+            # The frame has unit power: the SNR reference.
             noise_variance = 1.0 / db_to_linear(snr_db)
-            scale = np.sqrt(noise_variance / 2.0)
-            stacked = np.empty(
-                (len(rngs), normalized.size), dtype=np.complex128
-            )
+            stacked = np.empty((len(rngs), samples.size), dtype=np.complex128)
             for row, generator in enumerate(rngs):
-                noise = scale * (
-                    generator.standard_normal(normalized.size)
-                    + 1j * generator.standard_normal(normalized.size)
-                )
-                stacked[row] = normalized + noise
-    packets = receiver.receive_batch(stacked, sample_rate_hz)
+                stacked[row] = samples + band.noise(generator, noise_variance)
+    packets = receiver.receive_batch(stacked, clean.sample_rate_hz)
     for packet in packets:
         if packet is None:
             telemetry.count("experiment.sync_lost")

@@ -4,8 +4,9 @@ The paper's experimental-setting figure includes a table of received
 signal strength indication readings over the 1-8 m range.  We reproduce
 it two ways: analytically from the link budget, and empirically by
 measuring the 8-symbol RSSI window on waveforms propagated through the
-real-environment channel.  Each measured packet is one engine trial, so
-``workers`` parallelizes the sweep deterministically.
+real-environment channel, inside the CC26x2 profile's channel filter.
+Each measured packet is one engine trial, so ``workers`` parallelizes
+the sweep deterministically.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 import numpy as np
 
 from repro.channel.pathloss import LinkBudget
-from repro.experiments.common import prepare_authentic
+from repro.experiments.common import LEAD_IN_SAMPLES, prepare_authentic
 from repro.experiments.sweep import (
     PointReduction,
     PointSpec,
@@ -26,19 +27,32 @@ from repro.experiments.sweep import (
     SweepSpec,
     resolve_environment,
 )
+from repro.hardware.cc26x2 import cc26x2_receiver_config
 from repro.hardware.rssi import RssiEstimator
+from repro.zigbee.receiver import ZigBeeReceiver
 
 
 def _rssi_trial(
     context: Dict[str, Any], args: Tuple[Any, ...], rng: np.random.Generator
 ) -> float:
-    """One propagated packet's RSSI reading re-anchored at the budget mean."""
+    """One propagated packet's in-band RSSI, re-anchored at the budget mean.
+
+    The channel runs at the CC26x2 profile's rate on the frame as that
+    receiver reads it, so the reading is the power inside its channel
+    filter, which is what a radio's RSSI register measures.
+    """
     distance, mean_rx_dbm = args
-    channel = context["env"].channel_at(distance, rng=rng)
-    received = channel.apply(context["prepared"].on_air)
-    # Measure the fading-induced deviation around unit power over the
-    # RSSI window inside the frame, then re-anchor.
-    relative_db = context["estimator"].estimate(received, start=600)
+    receiver = context["receiver"]
+    prepared = context["prepared"]
+    clean, band = prepared.at_receiver(receiver)
+    channel = context["env"].channel_at(distance, rng=rng, band=band)
+    received = receiver.channelize(channel.apply(clean))
+    # The window opens 100 air samples (5 us) after the lead-in.
+    start = int(round(
+        (LEAD_IN_SAMPLES + 100) * received.sample_rate_hz
+        / prepared.on_air.sample_rate_hz
+    ))
+    relative_db = context["estimator"].estimate(received, start=start)
     return mean_rx_dbm + relative_db
 
 
@@ -74,13 +88,14 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
 def _context(
     config: Mapping[str, Any], base: np.random.Generator
 ) -> Dict[str, Any]:
-    # Calibrate the estimator so unit sample power corresponds to the
-    # transmit power at the reference distance: the channel pipeline
-    # normalizes power, so we measure *relative* fading and re-anchor at
-    # the budget's mean RX power.
+    # Calibrate the estimator so unit sample power is the transmit power:
+    # the channel scales the unit-power frame by the fading gain and adds
+    # noise, so a reading is the in-band power relative to the transmit
+    # frame, re-anchored at the budget's mean RX power.
     return {
         "env": resolve_environment(config, rng=0),
         "prepared": prepare_authentic(),
+        "receiver": ZigBeeReceiver(cc26x2_receiver_config()),
         "estimator": RssiEstimator(reference_dbm=0.0),
     }
 

@@ -54,25 +54,24 @@ def _link_trial(
 ) -> List[Optional[Tuple[np.ndarray, bool, Optional[np.ndarray]]]]:
     """One propagated reception per RNG; ``None`` marks a sync loss.
 
-    Each row's channel realization is applied on the 1-D waveform with
-    that row's own spawned streams, and the noisy rows go through the
-    receiver's batched chain.  A row is ``(decoded_symbols, delivered,
+    Each row's channel realization is applied, with that row's own
+    spawned streams, at the receiver's rate to the frame the receiver
+    reads (``PreparedLink.at_receiver``), and the noisy rows go through
+    the receiver's batched chain.  A row is ``(decoded_symbols, delivered,
     hamming_distances)`` so the parent can replay the accumulator in
     trial order.
     """
     link_key, rx_name, distance, loss_db = args
     prepared = context[link_key]
     receiver = context["receivers"][rx_name]
-    waveform = prepared.on_air
-    stacked = np.empty(
-        (len(rngs), waveform.samples.size), dtype=np.complex128
-    )
+    clean, band = prepared.at_receiver(receiver)
+    stacked = np.empty((len(rngs), clean.samples.size), dtype=np.complex128)
     for row, rng in enumerate(rngs):
         channel = context["env"].channel_at(
-            distance, extra_loss_db=loss_db, rng=rng
+            distance, extra_loss_db=loss_db, rng=rng, band=band
         )
-        stacked[row] = channel.apply(waveform).samples
-    packets = receiver.receive_batch(stacked, waveform.sample_rate_hz)
+        stacked[row] = channel.apply(clean).samples
+    packets = receiver.receive_batch(stacked, clean.sample_rate_hz)
     rows: List[Optional[Tuple[np.ndarray, bool, Optional[np.ndarray]]]] = []
     for packet in packets:
         if packet is None:

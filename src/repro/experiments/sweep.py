@@ -78,6 +78,7 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.engine import EngineSession, MonteCarloEngine
 from repro.telemetry.events import get_event_stream
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
+from repro.utils.signal_ops import ReceiverBand
 from repro.zigbee.receiver import ReceiverConfig, ZigBeeReceiver
 
 TrialFn = Callable[..., Any]
@@ -383,7 +384,10 @@ class FadingChannelFactory:
     Stacks (in order) block fading, random CFO, random phase, and AWGN
     at the point's SNR, drawing every stage from sub-streams of the
     trial's own RNG — so parallel/batched runs stay bit-identical to
-    serial at the same seed.
+    serial at the same seed.  The rule of
+    :meth:`repro.channel.environment.RealEnvironment.channel_at`: the
+    input is (a receiver's view of) the unit-power transmit frame, the
+    noise is referenced to that unit power and drawn in ``band``.
     """
 
     profile: str = "awgn"
@@ -392,7 +396,10 @@ class FadingChannelFactory:
     random_phase: bool = False
 
     def __call__(
-        self, snr_db: Optional[float], rng: RngLike = None
+        self,
+        snr_db: Optional[float],
+        rng: RngLike = None,
+        band: Optional[ReceiverBand] = None,
     ) -> Channel:
         fading_rng, cfo_rng, phase_rng, noise_rng = spawn_rngs(rng, 4)
         stages: List[Channel] = []
@@ -411,7 +418,10 @@ class FadingChannelFactory:
         if self.random_phase:
             stages.append(PhaseOffsetChannel(rng=phase_rng))
         if snr_db is not None:
-            stages.append(AwgnChannel(snr_db=snr_db, rng=noise_rng))
+            stages.append(AwgnChannel(
+                snr_db=snr_db, rng=noise_rng, normalize=False,
+                signal_power=1.0, band=band,
+            ))
         return ChannelChain(stages)
 
 
@@ -441,9 +451,9 @@ def resolve_channel_factory(
 ) -> Optional[FadingChannelFactory]:
     """A channel factory for SNR-axis specs; ``None`` without a scenario.
 
-    ``None`` keeps the legacy AWGN fast path (``transmit_once`` /
-    ``transmit_batch`` default) byte-identical to the committed
-    baselines.
+    ``None`` keeps the AWGN path of ``transmit_once`` /
+    ``transmit_batch``, which draws each row's noise straight from the
+    row's own generator (Table II's committed rows depend on that).
     """
     spec = _validated_channel_spec(config, SNR_CHANNEL_KEYS)
     if spec is None:

@@ -17,6 +17,8 @@ closes.
 Each waveform sample is one engine trial with its own spawned RNG
 stream (channel realization included), so ``workers`` parallelizes the
 sweep with results bit-identical to the serial run at the same seed.
+Each trial's channel runs at the receiver's 4 Msps rate on the frame
+channelized once per sweep (``PreparedLink.at_receiver``).
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ def _distance_trial(
     """One real-environment reception: D_E^2, or None when undecodable."""
     link_key, distance, chip_source, noise_corrected = args
     receiver = context["receiver"]
-    channel = context["env"].channel_at(distance, rng=rng)
+    clean, band = context[link_key].at_receiver(receiver)
+    channel = context["env"].channel_at(distance, rng=rng, band=band)
     try:
-        packet = receiver.receive(channel.apply(context[link_key].on_air))
+        packet = receiver.receive(channel.apply(clean))
     except SynchronizationError:
         return None
     if not packet.decoded:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -363,3 +363,139 @@ def _channelize_plan(
     for table in (spectrum, lower, upper):
         table.setflags(write=False)
     return spectrum, up, down, n_out, edge, lower, upper
+
+
+@dataclass(frozen=True)
+class ReceiverBand:
+    """Where a receiver reads white noise added to a capture.
+
+    A capture of ``capture_samples`` at ``capture_rate_hz`` reaches the
+    receiver at ``rate_hz``: through a channel filter of ``cutoff_hz``
+    (see :func:`channelize_batch`), or, when ``cutoff_hz`` is ``None``,
+    by keeping every ``step``-th sample (a naive decimator, or no rate
+    change), which leaves white noise white.  Hashable, so a receiver's
+    view of a capture can be cached under it.
+    """
+
+    capture_rate_hz: float
+    capture_samples: int
+    rate_hz: float
+    cutoff_hz: Optional[float] = None
+
+    @property
+    def step(self) -> int:
+        """Capture samples per receiver sample."""
+        return int(round(self.capture_rate_hz / self.rate_hz))
+
+    @property
+    def samples(self) -> int:
+        """Length of the capture at the receiver's rate."""
+        return -(-self.capture_samples // self.step)
+
+    def noise(self, generator: np.random.Generator, variance: float) -> np.ndarray:
+        """One capture's complex white noise of per-sample ``variance``
+        (at the capture rate), as the receiver reads it.
+
+        Without a filter the kept samples are the white draw itself:
+        ``samples`` real normals, then as many imaginary ones.
+        """
+        if self.cutoff_hz is None:
+            size = self.samples
+            scale = np.sqrt(variance / 2.0)
+            return scale * (
+                generator.standard_normal(size)
+                + 1j * generator.standard_normal(size)
+            )
+        return channelized_noise(
+            generator, variance, self.capture_samples, self.cutoff_hz,
+            self.capture_rate_hz, self.rate_hz,
+        )
+
+
+def channelized_noise(
+    generator: np.random.Generator,
+    variance: float,
+    n: int,
+    cutoff_hz: float,
+    input_rate_hz: float,
+    output_rate_hz: float,
+) -> np.ndarray:
+    """White noise on an ``n``-sample capture as :func:`channelize_batch`
+    leaves it, drawn at the output rate.
+
+    Complex white noise of per-sample variance ``variance`` at the input
+    rate comes out of the channelizer as Gaussian noise whose spectrum is
+    the composite filter's power response, folded by the decimation.
+    This draws that spectrum directly: white complex normals (real parts,
+    then imaginary) at a fast FFT length, shaped by the response and
+    inverse transformed, so samples are correlated exactly as the
+    channelizer correlates them.  Where the filter runs off the capture,
+    the channelizer sees fewer noise samples, so the first and last
+    outputs are scaled to its lower per-sample variance there.
+
+    Raises:
+        ConfigurationError: a non-integer rate ratio, where channelized
+            noise is not stationary.
+    """
+    amplitude, envelope = _noise_plan(n, cutoff_hz, input_rate_hz, output_rate_hz)
+    size = amplitude.size
+    spectrum = generator.standard_normal(size) + 1j * generator.standard_normal(size)
+    spectrum *= amplitude
+    noise = np.fft.ifft(spectrum)[:envelope.size]
+    noise *= envelope
+    noise *= np.sqrt(variance)
+    return noise
+
+
+@lru_cache(maxsize=16)
+def _noise_plan(
+    n: int, cutoff_hz: float, input_rate_hz: float, output_rate_hz: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The cached spectral amplitude and edge envelope of
+    :func:`channelized_noise`.
+
+    Output ``j`` of the chain is ``sum_i c[down*j + H - i] x[i]`` inside
+    the capture, with ``c`` the composite filter and ``H`` its half
+    length, so its noise has power ``sum c**2`` and the response
+    ``|C|**2`` folded ``down`` times.  Outputs within ``H`` input samples
+    of an end lose the terms the chain cuts at ``[0, n)`` (low-pass
+    outputs and inputs both); their power is summed from the cut gains.
+    The FFT is long enough that the circular draw's correlation equals
+    the linear one over ``n_out``.
+    """
+    up, down = _rate_ratio(input_rate_hz, output_rate_hz)
+    if up != 1:
+        raise ConfigurationError(
+            "in-band noise needs an integer rate ratio, got "
+            f"{input_rate_hz}/{output_rate_hz}"
+        )
+    lowpass = lowpass_taps(cutoff_hz, input_rate_hz)
+    resample = _resample_taps(up, down)
+    composite = np.convolve(lowpass, resample)
+    n_out = -(-n // down)
+    size = next_fast_len(n_out + -(-composite.size // down))
+    power = np.abs(np.fft.fft(composite, down * size)) ** 2
+    response = power.reshape(down, size).sum(axis=0) / down
+    # White spectrum of variance size (numpy's ifft divides by size).
+    amplitude = np.sqrt(response * size / 2.0)
+    half_l, half_r = lowpass.size // 2, resample.size // 2
+    full = float(np.sum(composite ** 2))
+
+    def cut_power(offset: int) -> float:
+        # An output whose centre input lies ``offset`` samples inside one
+        # end: resample taps over the kept low-pass outputs, convolved
+        # with the low-pass, over the kept inputs.  Both filters are
+        # symmetric, so either end reads the same way.
+        kept = np.arange(max(0, offset - half_r), min(offset + half_r, n - 1) + 1)
+        gains = np.convolve(resample[offset + half_r - kept], lowpass)
+        start = half_l - int(kept[0])
+        return float(np.sum(gains[max(0, start):max(0, start + n)] ** 2))
+
+    envelope = np.ones(n_out, dtype=np.float64)
+    for j in range(min(n_out, -(-(composite.size // 2) // down) + 1)):
+        envelope[j] = np.sqrt(cut_power(down * j) / full)
+        last = n_out - 1 - j
+        envelope[last] = np.sqrt(cut_power(n - 1 - down * last) / full)
+    for table in (amplitude, envelope):
+        table.setflags(write=False)
+    return amplitude, envelope

@@ -27,7 +27,7 @@ from repro.errors import (
     SynchronizationError,
 )
 from repro.telemetry import get_telemetry
-from repro.utils.signal_ops import Waveform, channelize_batch
+from repro.utils.signal_ops import ReceiverBand, Waveform, channelize_batch
 from repro.zigbee.constants import (
     CHIPS_PER_SYMBOL,
     DEFAULT_CORRELATION_THRESHOLD,
@@ -556,6 +556,32 @@ class ZigBeeReceiver:
                 "naive decimation needs an integer rate ratio"
             )
         return step
+
+    def band(self, sample_rate_hz: float, num_samples: int) -> ReceiverBand:
+        """Where this receiver reads white noise on a capture.
+
+        A filtering receiver reads it through its channel filter; a naive
+        decimator, or a capture already at the native rate, keeps every
+        k-th sample, so the noise stays white.
+
+        Raises:
+            ConfigurationError: a capture below the native rate, or naive
+                decimation at a non-integer ratio.
+        """
+        if sample_rate_hz < self.sample_rate_hz - 1e-6:
+            raise ConfigurationError(
+                "input sample rate is below the receiver's native rate"
+            )
+        filtered = (
+            self.naive_stride(sample_rate_hz) is None
+            and abs(sample_rate_hz - self.sample_rate_hz) >= 1e-6
+        )
+        return ReceiverBand(
+            capture_rate_hz=sample_rate_hz,
+            capture_samples=num_samples,
+            rate_hz=self.sample_rate_hz,
+            cutoff_hz=self.config.channel_filter_cutoff_hz if filtered else None,
+        )
 
     def _channelize_batch(
         self, samples: np.ndarray, sample_rate_hz: float

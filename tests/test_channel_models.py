@@ -7,7 +7,6 @@ from repro.channel.base import ChannelChain, IdentityChannel
 from repro.channel.environment import DEFAULT_INDOOR_BUDGET, RealEnvironment
 from repro.channel.fading import (
     BlockFadingChannel,
-    MultipathChannel,
     rayleigh_gain,
     rician_gain,
 )
@@ -81,20 +80,6 @@ class TestFading:
         faded = BlockFadingChannel(k_factor_db=12.0, rng=3).apply(tone)
         ratio = faded.samples / tone.samples
         assert np.allclose(ratio, ratio[0])
-
-    def test_multipath_normalized_taps(self):
-        channel = MultipathChannel(num_taps=4, rng=4)
-        assert np.sum(np.abs(channel.taps) ** 2) == pytest.approx(1.0)
-
-    def test_multipath_explicit_taps(self):
-        channel = MultipathChannel(taps=[1.0, 0.5])
-        tone = _tone(64)
-        out = channel.apply(tone)
-        assert out.samples.size == tone.samples.size
-
-    def test_multipath_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            MultipathChannel(taps=[])
 
 
 class TestPathLoss:

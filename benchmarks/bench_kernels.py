@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.attack import EmulationConfig, WaveformEmulationAttack, optimize_scale
+from repro.attack import EmulationConfig, WaveformEmulationAttack, optimize_scale, quantize
 from repro.attack.interpolate import spectrum_table
 from repro.defense import CumulantDetector
 from repro.channel.environment import RealEnvironment
@@ -233,22 +233,66 @@ def test_bench_viterbi(benchmark):
 
 
 def test_bench_attack_complexity_is_linear(benchmark, capsys):
-    """Doubling the observed samples ~doubles the attack's work (Sec. VII-A)."""
+    """The attack's work grows about linearly with the observed samples
+    (Sec. VII-A): the runtime ratio of a 40- and a 10-byte payload stays
+    below the square of their sample ratio, which quadratic work reaches."""
     attack = WaveformEmulationAttack()
-    timings = {}
+    timings, samples = {}, {}
     for size in (10, 40):
         sent = ZigBeeTransmitter().transmit_payload(bytes(size))
+        samples[size] = sent.waveform.samples.size
         with stopwatch() as timer:
             for _ in range(3):
                 attack.emulate(sent.waveform)
         timings[size] = timer.seconds / 3
 
+    growth = samples[40] / samples[10]
     ratio = timings[40] / timings[10]
     with capsys.disabled():
-        print(f"\nattack runtime scaling (4x samples): {ratio:.2f}x")
-    # Linear-ish: well below quadratic scaling (16x) with headroom.
-    assert ratio < 9.0
+        print(f"\nattack runtime scaling ({growth:.2f}x samples): {ratio:.2f}x")
+    assert ratio < growth**2
 
     # Keep pytest-benchmark satisfied with a representative measurement.
     sent = ZigBeeTransmitter().transmit_payload(bytes(10))
     benchmark(lambda: attack.emulate(sent.waveform))
+
+
+def test_bench_alpha_search_parity(benchmark, capsys, monkeypatch):
+    """The bound-pruned alpha search picks the scale of scoring every grid
+    scale, on 200 random payload frames (1-99 bytes) and all four
+    constellations.  Times the pruned searches.  Too slow for tier-1: the
+    exhaustive reference scores all 800 scales of each search."""
+    rng = np.random.default_rng(2019)
+    frames = []
+    for _ in range(200):
+        payload = bytes(rng.integers(0, 256, int(rng.integers(1, 100))).tolist())
+        observed = ZigBeeTransmitter().transmit_payload(payload).waveform
+        emulation = WaveformEmulationAttack(EmulationConfig(quantize=False)).emulate(
+            observed
+        )
+        frames.append(
+            spectrum_table(emulation.chunks)[:, emulation.selection.indexes].reshape(-1)
+        )
+    modulations = [modulation_for_name(name) for name in ("bpsk", "qpsk", "16qam", "64qam")]
+
+    def search_all():
+        return [optimize_scale(points, mod) for points in frames for mod in modulations]
+
+    with stopwatch() as pruned_timer:
+        pruned = benchmark.pedantic(search_all, rounds=1, iterations=1)
+    with monkeypatch.context() as patch:  # the search scoring every scale
+        patch.setattr(
+            quantize,
+            "_pruned_errors",
+            lambda array, modulation, grid, floor: quantize.quantization_errors(
+                array, modulation, grid
+            ),
+        )
+        with stopwatch() as exhaustive_timer:
+            exhaustive = search_all()
+    mismatches = sum(a != b for a, b in zip(pruned, exhaustive))
+    with capsys.disabled():
+        print(f"\nalpha search parity: {len(pruned)} searches, {mismatches} differ; "
+              f"pruned {pruned_timer.seconds:.1f} s, "
+              f"exhaustive {exhaustive_timer.seconds:.1f} s")
+    assert mismatches == 0

@@ -33,15 +33,19 @@ from repro.attack.selection import indexes_to_logical
 def allocate_baseband_bins(
     indexes: np.ndarray, quantized: np.ndarray
 ) -> np.ndarray:
-    """Place quantized points back at their own FFT bins; zero elsewhere."""
-    index_array = np.asarray(indexes, dtype=np.int64)
-    values = np.asarray(quantized, dtype=np.complex128)
-    if index_array.size != values.size:
+    """Place quantized points back at their own FFT bins; zero elsewhere.
+
+    ``quantized`` holds one point per index along its last axis; a stack
+    of symbols gives a stack of 64-bin vectors.
+    """
+    index_array = np.asarray(indexes, dtype=np.int64).reshape(-1)
+    values = np.atleast_1d(np.asarray(quantized, dtype=np.complex128))
+    if index_array.size != values.shape[-1]:
         raise ConfigurationError("indexes and quantized points must align")
     if index_array.size and (index_array.min() < 0 or index_array.max() >= FFT_SIZE):
         raise ConfigurationError("FFT bin indexes must be in [0, 63]")
-    bins = np.zeros(FFT_SIZE, dtype=np.complex128)
-    bins[index_array] = values
+    bins = np.zeros(values.shape[:-1] + (FFT_SIZE,), dtype=np.complex128)
+    bins[..., index_array] = values
     return bins
 
 

@@ -42,6 +42,9 @@ _SCALE_BLOCK = 10
 #: The bracket provably holds the nearest point within this many level steps
 #: and above this scale; other pairs (no real frame's) check every point.
 _BRACKET_STEPS, _TINY_SCALE = 2.0**16, 2.0**-900
+#: The error bound's working precision (x87 extended on x86-64); the slack
+#: reads its epsilon, so a platform where it is plain double only prunes less.
+_WIDE = np.longdouble
 
 
 @np.errstate(over="ignore")
@@ -94,6 +97,88 @@ def quantization_error(points: np.ndarray, modulation: QamModulation, scale: flo
     return float(quantization_errors(points, modulation, np.array([scale]))[0])
 
 
+class _ErrorFloor:
+    """Lower bounds on ``quantization_errors`` at many scales in one pass.
+
+    The grid's squared distance splits by axis, and on one axis the sorted
+    values between two level midpoints share their nearest level, so each
+    axis's error at a scale is three prefix sums per level (docs/THEORY.md,
+    Sec. 2.2).  The floor is that sum minus the slack of a written
+    float-error model; it is NaN where the sum overflowed.
+    """
+
+    def __init__(self, array: np.ndarray, modulation: QamModulation) -> None:
+        table = modulation.constellation()
+        self.size = array.size
+        self.outermost = float(np.max(np.abs(table)))
+        self.axes = []
+        for part, levels in ((array.real, table.real), (array.imag, table.imag)):
+            values = np.sort(part.astype(_WIDE))
+            sums = np.zeros((2, values.size + 1), dtype=_WIDE)
+            np.cumsum(values, out=sums[0, 1:])
+            np.cumsum(values * values, out=sums[1, 1:])
+            levels = np.unique(levels).astype(_WIDE)
+            middles = (levels[1:] + levels[:-1]) / 2
+            self.axes.append((values, sums, levels, middles, np.sum(np.abs(values))))
+        # The slack's rounding budgets (docs/THEORY.md, Sec. 2.2): the
+        # bound's, relative to its magnitude; the scored sum's, relative to
+        # the error; and what subnormal results can lose outright.
+        most = max(axis[2].size for axis in self.axes)
+        self.wide_ulps = (2 * most + 10) * (self.size + 2) * np.finfo(_WIDE).eps
+        self.ulps = (self.size + 8) * np.finfo(np.float64).eps
+        self.subnormal = 64 * (self.size + 16) * np.finfo(np.float64).smallest_subnormal
+
+    def __call__(self, grid: np.ndarray) -> np.ndarray:
+        scales = grid.astype(_WIDE)
+        bound = np.zeros(grid.size, dtype=_WIDE)
+        magnitude = np.zeros(grid.size, dtype=_WIDE)
+        ends = np.zeros((grid.size, 1), dtype=np.intp)
+        for values, sums, levels, middles, absolute in self.axes:
+            cuts = np.searchsorted(values, np.multiply.outer(scales, middles))
+            edges = np.concatenate([ends, cuts, ends + values.size], axis=1)
+            first, second = (np.diff(prefix[edges], axis=1) for prefix in sums)
+            at = np.multiply.outer(scales, levels)
+            counts = np.diff(edges, axis=1)
+            bound += np.sum(second - 2 * at * first + counts * at * at, axis=1)
+            reach = scales * np.max(np.abs(levels))
+            magnitude += sums[1, -1] + 2 * reach * absolute + values.size * reach * reach
+        floor = bound - self.slack(scales, bound, magnitude)
+        floor[~np.isfinite(floor)] = np.nan
+        return floor
+
+    def slack(self, scales: np.ndarray, bound: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+        """How far the computed bound may sit above the scored error."""
+        model = self.wide_ulps * magnitude
+        positive = np.maximum(bound, 0)
+        rounding = 2 * np.finfo(np.float64).eps * scales * self.outermost
+        return (
+            model
+            + self.ulps * positive
+            + rounding * np.sqrt(self.size * (positive + model))
+            + self.subnormal
+        )
+
+
+def _pruned_errors(
+    array: np.ndarray, modulation: QamModulation, grid: np.ndarray, floor: _ErrorFloor
+) -> np.ndarray:
+    """``quantization_errors`` at every scale its floor cannot rule out,
+    +inf at the others, so the argmin is the full grid's."""
+    lower = floor(grid)
+    pivot = int(np.argmin(np.where(np.isnan(lower), np.inf, lower)))
+    errors = np.full(grid.size, np.inf)
+    errors[pivot] = quantization_errors(array, modulation, grid[pivot : pivot + 1])[0]
+    # Skipped scales err strictly above the pivot; NaN floors are scored.
+    scored = ~(lower > errors[pivot])
+    scored[pivot] = False
+    if scored.any():
+        errors[scored] = quantization_errors(array, modulation, grid[scored])
+    scored[pivot] = True
+    if (errors[scored] < lower[scored]).any():  # the error model failed
+        return quantization_errors(array, modulation, grid)
+    return errors
+
+
 def optimize_scale(
     points: np.ndarray,
     modulation: QamModulation,
@@ -105,7 +190,9 @@ def optimize_scale(
     The objective ``sum_k min_j |x_k - alpha c_j|^2`` is piecewise smooth
     in alpha with many local minima (the nearest-point assignment changes
     with alpha), so we run a dense coarse grid over a bracketing range and
-    refine around the best cell a few times.
+    refine around the best cell a few times.  Each grid scores only the
+    scales a cheap lower bound cannot rule out, so alpha is the one the
+    full grid would pick.
     """
     array = np.asarray(points, dtype=np.complex128)
     if array.size == 0:
@@ -113,8 +200,10 @@ def optimize_scale(
     if coarse_steps < 2 or refine_rounds < 0:
         raise ConfigurationError("invalid search parameters")
 
-    # With the unit-power constellation the outermost point has magnitude
-    # max|c|; any alpha beyond max|x| / min|c_nonzero| is wasteful.
+    # The grid spans [0, 2 max|x|].  Every table's outermost level is at
+    # least 1/sqrt(2) (QPSK's), so from 1.42 max|x| on the outer levels lie
+    # beyond every point; the doubled span is a bracket with headroom, and
+    # the search is global only within it.
     max_magnitude = float(np.max(np.abs(array)))
     if not np.isfinite(2.0 * max_magnitude):
         raise ConfigurationError("points must be finite, with |x| below 8e307")
@@ -122,10 +211,11 @@ def optimize_scale(
         return 0.0
     lower, upper = 0.0, max_magnitude * 2.0
 
+    floor = _ErrorFloor(array, modulation)
     best_scale, best_error = 0.0, np.inf  # the first grid starts at alpha = 0
     for _ in range(refine_rounds + 1):
         grid = np.linspace(lower, upper, coarse_steps)
-        errors = quantization_errors(array, modulation, grid)
+        errors = _pruned_errors(array, modulation, grid, floor)
         index = int(np.argmin(errors))
         if errors[index] < best_error:
             best_error = float(errors[index])

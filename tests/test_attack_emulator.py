@@ -6,9 +6,12 @@ import pytest
 from repro.attack.allocation import allocate_baseband_bins, allocate_rf_data_points
 from repro.attack.emulator import EmulationConfig, WaveformEmulationAttack, emulate_waveform
 from repro.errors import ConfigurationError, EmulationError
+from repro.experiments.common import build_observed_waveform
 from repro.utils.signal_ops import Waveform, frequency_shift
-from repro.wifi.constants import CP_LENGTH, NUM_DATA_SUBCARRIERS
+from repro.wifi.constants import CP_LENGTH, FFT_SIZE, NUM_DATA_SUBCARRIERS
+from repro.wifi.ofdm import map_subcarriers
 from repro.zigbee.receiver import ReceiverConfig, ZigBeeReceiver
+from repro.zigbee.transmitter import ZigBeeTransmitter
 
 
 class TestAllocation:
@@ -136,3 +139,58 @@ class TestRfMode:
         except SynchronizationError:
             delivered = False
         assert not delivered
+
+
+def _per_chunk_baseband(indexes, kept_values):
+    """The reference: one IFFT per chunk, points at their own bins."""
+    emulated = np.empty((kept_values.shape[0], 80), dtype=np.complex128)
+    for i, values in enumerate(kept_values):
+        body = np.fft.ifft(allocate_baseband_bins(indexes, values))
+        emulated[i, :CP_LENGTH] = body[-CP_LENGTH:]
+        emulated[i, CP_LENGTH:] = body
+    return emulated
+
+
+def _per_chunk_rf(indexes, unit_points, scale, rng):
+    """The reference: one filler draw, pilot map and IFFT per chunk."""
+    emulated = np.empty((unit_points.shape[0], 80), dtype=np.complex128)
+    gain = scale / np.sqrt(FFT_SIZE)
+    for i, points in enumerate(unit_points):
+        allocation = allocate_rf_data_points(indexes, points, rng=rng)
+        bins = map_subcarriers(allocation.data_points, symbol_index=1 + i)
+        body = np.fft.ifft(bins) * np.sqrt(FFT_SIZE) * gain
+        emulated[i, :CP_LENGTH] = body[-CP_LENGTH:]
+        emulated[i, CP_LENGTH:] = body
+    return emulated
+
+
+class TestBatchedSymbols:
+    """The blocked IFFT builds every symbol bit for bit as one IFFT per
+    chunk did, and rf mode draws its filler in the same order."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[None, b"\x00", bytes(range(40)), bytes(range(99, 0, -1))],
+        ids=["default", "1-byte", "40-byte", "99-byte"],
+    )
+    def observed(self, request):
+        if request.param is None:
+            return build_observed_waveform().waveform
+        return ZigBeeTransmitter().transmit_payload(request.param).waveform
+
+    def test_baseband_equals_per_chunk_loop(self, observed):
+        result = emulate_waveform(observed)
+        chosen = result.quantization.quantized.reshape(result.chunks.shape[0], -1)
+        expected = _per_chunk_baseband(result.selection.indexes, chosen)
+        assert np.array_equal(result.emulated_chunks, expected)
+        assert result.emulated_chunks.shape[0] > 64  # more than one block
+
+    def test_rf_equals_per_chunk_loop(self, observed):
+        result = emulate_waveform(observed, config=EmulationConfig(mode="rf"), rng=11)
+        points = result.quantization.constellation_points.reshape(
+            result.chunks.shape[0], -1
+        )
+        expected = _per_chunk_rf(
+            result.selection.indexes, points, result.scale, np.random.default_rng(11)
+        )
+        assert np.array_equal(result.emulated_chunks, expected)

@@ -1,5 +1,6 @@
 """Cross-module property-based tests of the system's core invariants."""
 
+import hashlib
 import json
 import math
 import sys
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.attack.emulator import EmulationConfig, WaveformEmulationAttack
 from repro.attack.interpolate import spectrum_table
+from repro.attack import quantize
 from repro.attack.quantize import optimize_scale, quantization_errors
 from repro.defense.constellation import reconstruct_constellation
 from repro.defense.detector import CumulantDetector
@@ -503,6 +505,120 @@ def _default_frame_points():
     return spectrum_table(result.chunks)[:, result.selection.indexes].reshape(-1)
 
 
+def _exhaustive_scale(points, modulation, coarse_steps=200, refine_rounds=3):
+    """The reference: the alpha search scoring every scale of every grid."""
+    array = np.asarray(points, dtype=np.complex128)
+    max_magnitude = float(np.max(np.abs(array)))
+    if not np.isfinite(2.0 * max_magnitude):
+        raise ConfigurationError("points must be finite, with |x| below 8e307")
+    if max_magnitude == 0.0:
+        return 0.0
+    lower, upper = 0.0, max_magnitude * 2.0
+    best_scale, best_error = 0.0, np.inf
+    for _ in range(refine_rounds + 1):
+        grid = np.linspace(lower, upper, coarse_steps)
+        errors = quantization_errors(array, modulation, grid)
+        index = int(np.argmin(errors))
+        if errors[index] < best_error:
+            best_error = float(errors[index])
+            best_scale = float(grid[index])
+        step = grid[1] - grid[0]
+        lower = max(0.0, grid[index] - step)
+        upper = grid[index] + step
+    return best_scale
+
+
+def _search_outcome(search, points, modulation):
+    """A search's alpha, or the type and message of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return search(points, modulation)
+    except ConfigurationError as error:
+        return type(error), str(error)
+
+
+def _frame_points(payload):
+    """The frequency points the attack quantizes for one payload's frame."""
+    observed = ZigBeeTransmitter().transmit_payload(payload).waveform
+    result = WaveformEmulationAttack(EmulationConfig(quantize=False)).emulate(observed)
+    return spectrum_table(result.chunks)[:, result.selection.indexes].reshape(-1)
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """The grid size of every ``quantization_errors`` call the search makes."""
+    sizes = []
+    kernel = quantize.quantization_errors
+
+    def spy(points, modulation, scales):
+        sizes.append(np.size(scales))
+        return kernel(points, modulation, scales)
+
+    monkeypatch.setattr(quantize, "quantization_errors", spy)
+    return sizes
+
+
+class TestScaleSearch:
+    """The pruned search returns the alpha of scoring every grid scale."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_quantization_cases())
+    def test_pruned_equals_exhaustive_on_hostile_points(self, case):
+        modulation, points, _ = case
+        assert _search_outcome(optimize_scale, points, modulation) == (
+            _search_outcome(_exhaustive_scale, points, modulation)
+        )
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.binary(min_size=1, max_size=99))
+    def test_pruned_equals_exhaustive_on_payload_frames(self, payload):
+        points = _frame_points(payload)
+        for name in _QAM_NAMES:
+            modulation = modulation_for_name(name)
+            assert optimize_scale(points, modulation) == _exhaustive_scale(
+                points, modulation
+            )
+
+    def test_exact_tie_goes_to_the_first_scale(self):
+        """BPSK points at +-199: the first grid's scales 198 and 200 err
+        exactly alike, so the round must keep both and take 198."""
+        points, modulation = np.array([199.0, -199.0]), modulation_for_name("bpsk")
+        errors = quantization_errors(points, modulation, np.linspace(0.0, 398.0, 200))
+        assert errors[99] == errors[100] == errors.min()
+        assert optimize_scale(points, modulation) == _exhaustive_scale(points, modulation)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+        reason="a plain-double bound carries a wider slack and prunes less",
+    )
+    def test_default_frame_scores_few_scales(self, grid_calls):
+        points = _default_frame_points()
+        optimize_scale(points, modulation_for_name("64qam"))
+        assert 200 not in grid_calls
+        assert sum(grid_calls) < 60  # of the 800 an exhaustive search scores
+
+    def test_floors_the_model_cannot_bound_are_scored(self, monkeypatch, grid_calls):
+        """An infinite slack (as where the bound overflows) leaves NaN
+        floors; every such scale is scored, none skipped."""
+        monkeypatch.setattr(
+            quantize._ErrorFloor, "slack", lambda self, scales, bound, magnitude: np.inf
+        )
+        points = _frame_points(b"nan floors")
+        modulation = modulation_for_name("16qam")
+        assert optimize_scale(points, modulation) == _exhaustive_scale(points, modulation)
+        assert grid_calls[:8] == [1, 199] * 4
+
+    def test_zero_slack_trips_the_guard_and_still_matches(self, monkeypatch, grid_calls):
+        """Without slack the float bound sits above some scored error; the
+        search must notice and score that whole grid."""
+        monkeypatch.setattr(
+            quantize._ErrorFloor, "slack", lambda self, scales, bound, magnitude: 0.0
+        )
+        points = _default_frame_points()
+        assert optimize_scale(points, modulation_for_name("64qam")) == 33.573709006115735
+        assert 200 in grid_calls
+
+
 class TestQuantizationKernel:
     @settings(max_examples=300, deadline=None)
     @given(_quantization_cases())
@@ -519,3 +635,10 @@ class TestQuantizationKernel:
         points = _default_frame_points()
         assert points.size == 1239
         assert optimize_scale(points, modulation_for_name("64qam")) == 33.573709006115735
+
+    def test_default_frame_waveform_is_pinned(self):
+        result = WaveformEmulationAttack().emulate(build_observed_waveform().waveform)
+        digest = hashlib.sha256(result.waveform.samples.tobytes()).hexdigest()
+        assert digest == (
+            "a9ac550635569e29ab19b90c929f0726ce71d3fe10e7136672bb1c65aba5fbe9"
+        )
